@@ -14,6 +14,7 @@ S_i in the denominator corrects for on average.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,14 +71,6 @@ class StudyData:
     def subset(self, idx) -> "StudyData":
         idx = np.asarray(idx)
         return StudyData(self.A[idx], self.Z[idx], self.C[idx], self.Y[idx])
-
-
-@dataclass(frozen=True)
-class AvgOutcomeEstimate:
-    arm: object          # 0, 1, or None for the marginal estimand
-    alpha: float
-    value: float
-    theta_index: int     # position inside the target block for these allocs
 
 
 @dataclass(frozen=True)
@@ -172,26 +165,6 @@ def ipcw_estimates(net, data, logf, logs, allocs) -> dict:
     keys, T = target_terms(net, data, logf, logs, allocs)
     means = T.mean(axis=0)
     return {k: float(v) for k, v in zip(keys, means)}
-
-
-def avg_outcome(net, data, a, alloc, pfit, cfit, prop_design, cens_design,
-                quad_nodes=None) -> AvgOutcomeEstimate:
-    """IPCW estimate of the average potential outcome in arm a at alloc."""
-    if a not in (0, 1):
-        raise InputError("arm must be 0 or 1")
-    alpha = wt.as_allocation(alloc).alpha
-    logf, logs = node_log_weights(net, data, pfit, cfit, prop_design, cens_design, quad_nodes)
-    est = ipcw_estimates(net, data, logf, logs, [alpha])
-    return AvgOutcomeEstimate(arm=a, alpha=alpha, value=est[(a, alpha)], theta_index=a)
-
-
-def avg_outcome_marginal(net, data, alloc, pfit, cfit, prop_design, cens_design,
-                         quad_nodes=None) -> AvgOutcomeEstimate:
-    """IPCW estimate of the marginal average outcome at alloc."""
-    alpha = wt.as_allocation(alloc).alpha
-    logf, logs = node_log_weights(net, data, pfit, cfit, prop_design, cens_design, quad_nodes)
-    est = ipcw_estimates(net, data, logf, logs, [alpha])
-    return AvgOutcomeEstimate(arm=None, alpha=alpha, value=est[(None, alpha)], theta_index=2)
 
 
 def effect_pairs(allocs) -> list:
@@ -294,9 +267,10 @@ class TrueValues:
 
 
 def _binomial_pmf_matrix(d: int, alpha: float) -> np.ndarray:
-    from scipy.stats import binom
-
-    return binom.pmf(np.arange(d + 1), d, alpha)
+    """Binomial(d, alpha) probabilities of 0..d."""
+    k = np.arange(d + 1)
+    comb = np.array([math.comb(d, j) for j in k], dtype=float)
+    return comb * alpha ** k * (1.0 - alpha) ** (d - k)
 
 
 def true_values(net, table, allocs, enum_cap: int = 20, mc_draws: int = 100_000,
@@ -367,6 +341,3 @@ def true_values(net, table, allocs, enum_cap: int = 20, mc_draws: int = 100_000,
         out[(None, alpha)] = (1.0 - alpha) * y0 + alpha * y1
     return TrueValues(values=out, notes=notes)
 
-
-def true_effect_table(true_vals: TrueValues, allocs) -> list:
-    return effect_table(true_vals.values, allocs, None)

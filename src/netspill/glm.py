@@ -8,12 +8,17 @@ Two fitters live here:
   shared random intercept per group. The marginal likelihood integrates
   the intercept out with adaptive Gauss-Hermite quadrature (mode centered,
   curvature scaled), and the outer optimization over (beta, log sd) is
-  quasi-Newton with a damped-Newton polish down to a gradient-norm
-  tolerance.
+  quasi-Newton with a damped-Newton polish, on the Louis information,
+  down to a gradient-norm tolerance.
 
-The grouped-quadrature core (GroupLayout + grouped_* functions) is shared
-with the neighborhood-exposure density integrals, which have the same
-"product of Bernoullis with a fresh shared intercept" shape.
+Every quadrature evaluation goes through one kernel,
+grouped_posterior_bundle, which returns the posterior of each group's
+intercept on the rule's abscissae. Derivatives are analytic and all come
+from that posterior: scores by the Fisher identity (E of the complete-data
+score) and the observed information by the Louis identity
+(E[-complete-data Hessian] - Var[complete-data score]; Louis 1982). The
+same kernel serves the neighborhood-exposure density integrals, which
+have the same "product of Bernoullis with a fresh shared intercept" shape.
 """
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ SEPARATION_COEF = 15.0
 GLMM_GRADIENT_TOL = 1e-8      # norm of the marginal log-likelihood gradient
 MIXED_MAX_ITER = 200
 DEFAULT_QUAD_NODES = 21
-FD_SCORE_STEP = 1e-6          # central-difference step scale for group scores
 _LOG_SD_FLOOR = np.log(1e-4)  # below this the random intercept is treated as 0
 
 
@@ -247,20 +251,82 @@ def _group_modes(layout: GroupLayout, lp0, y, sigma: float, start=None):
     return b, tau
 
 
-def _group_log_joint(layout: GroupLayout, lp0, y, Bmat, sigma: float):
-    """log p(y_group, b) at each quadrature abscissa; Bmat is (G, K)."""
-    lp = lp0[:, None] + Bmat[layout.g, :]
-    ll = y[:, None] * lp - np.logaddexp(0.0, lp)
-    out = layout.group_sum(ll)
-    out += -0.5 * Bmat * Bmat / (sigma * sigma) - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
-    return out
+@dataclass
+class GroupPosterior:
+    """Quadrature posterior of each group's shared intercept.
+
+    `ell` holds the per-group marginal log-likelihoods, `modes` the
+    posterior modes that center the rule, `b` the (G, K) abscissae and
+    `post` their normalized posterior weights. Entry arrays are in layout
+    order. Entry-level expectations are formed on request, so a caller that
+    needs only `ell` holds no more than the log-likelihood temporaries.
+    """
+
+    layout: GroupLayout
+    lp0: np.ndarray
+    y: np.ndarray
+    sigma: float
+    b: np.ndarray
+    post: np.ndarray
+    ell: np.ndarray
+    modes: np.ndarray
+
+    def _prob(self):
+        """p(b) of every entry at every abscissa, (N, K)."""
+        p = self.b[self.layout.g]
+        p += self.lp0[:, None]
+        return expit(p, out=p)
+
+    def resid_bar(self):
+        """Posterior-expected residual E[y - p(b)] per entry."""
+        r = self._prob()
+        np.subtract(self.y[:, None], r, out=r)
+        return np.einsum("nk,nk->n", self.post[self.layout.g], r)
+
+    def b2_bar(self):
+        """Posterior-expected squared intercept per group."""
+        return np.einsum("gk,gk->g", self.post, self.b * self.b)
+
+    def score_rows(self, Xs):
+        """Fisher-identity score per entry over (beta..., log sd).
+
+        Each entry contributes x * E[y - p(b)]; the group's log-sd score
+        E[b^2]/sd^2 - 1 is split equally across its entries.
+        """
+        sd_group = self.b2_bar() / (self.sigma * self.sigma) - 1.0
+        sd_part = (sd_group / self.layout.sizes)[self.layout.g]
+        return np.column_stack([Xs * self.resid_bar()[:, None], sd_part])
+
+    def information(self, Xs):
+        """Observed information over (beta..., log sd) by the Louis identity.
+
+        Sum over groups of E[-d2 log p(y, b)] - Var[d log p(y, b)] under
+        the quadrature posterior.
+        """
+        P = Xs.shape[1]
+        p = self._prob()
+        w_bar = np.einsum("nk,nk->n", self.post[self.layout.g], p * (1.0 - p))
+        r = np.subtract(self.y[:, None], p, out=p)
+        inv_s2 = 1.0 / (self.sigma * self.sigma)
+        scores = np.empty((self.layout.G, P + 1, self.b.shape[1]))
+        for c in range(P):
+            scores[:, c, :] = self.layout.group_sum(Xs[:, c, None] * r)
+        scores[:, P, :] = self.b * self.b * inv_s2 - 1.0
+        scores -= np.einsum("gck,gk->gc", scores, self.post)[:, :, None]
+        info = -np.einsum("gck,gdk,gk->cd", scores, scores, self.post)
+        info[:P, :P] += (Xs * w_bar[:, None]).T @ Xs
+        info[P, P] += 2.0 * inv_s2 * float(np.sum(self.b2_bar()))
+        return 0.5 * (info + info.T)
 
 
-def grouped_marginal_logliks(layout, lp0, y, sigma, quad_nodes=DEFAULT_QUAD_NODES,
-                             mode_start=None):
-    """Per-group marginal log-likelihoods by adaptive Gauss-Hermite.
+def grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes=DEFAULT_QUAD_NODES,
+                             mode_start=None) -> GroupPosterior:
+    """Adaptive Gauss-Hermite posterior of a shared intercept per group.
 
-    Inputs are entry arrays in layout order. Returns (ell, modes, tau).
+    The one place the quadrature rule is evaluated: marginal likelihoods,
+    scores and information all come from the returned GroupPosterior.
+    Inputs are entry arrays in layout order; `mode_start` warm-starts the
+    per-group mode search.
     """
     if sigma <= 0.0:
         raise InputError("grouped quadrature requires a positive sd")
@@ -268,93 +334,53 @@ def grouped_marginal_logliks(layout, lp0, y, sigma, quad_nodes=DEFAULT_QUAD_NODE
         raise InputError("quad_nodes must be odd and at least 11")
     gx, glogw = _gh_nodes(quad_nodes)
     modes, tau = _group_modes(layout, lp0, y, sigma, mode_start)
-    Bmat = modes[:, None] + np.sqrt(2.0) * tau[:, None] * gx[None, :]
-    L = _group_log_joint(layout, lp0, y, Bmat, sigma) + (glogw + gx * gx)[None, :]
-    ell = logsumexp(L, axis=1) + 0.5 * np.log(2.0) + np.log(tau)
-    return ell, modes, tau
-
-
-def grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes=DEFAULT_QUAD_NODES,
-                             mode_start=None):
-    """Marginal log-likelihoods plus the pieces needed for analytic scores.
-
-    Returns (ell, modes, tau, post, resid_bar, b2_bar) where `post` is the
-    (G, K) posterior weight of each abscissa, `resid_bar` the per-entry
-    posterior-expected residual y - p in layout order, and `b2_bar` the
-    posterior-expected squared intercept per group.
-    """
-    if sigma <= 0.0:
-        raise InputError("grouped quadrature requires a positive sd")
-    gx, glogw = _gh_nodes(quad_nodes)
-    modes, tau = _group_modes(layout, lp0, y, sigma, mode_start)
-    Bmat = modes[:, None] + np.sqrt(2.0) * tau[:, None] * gx[None, :]
-    L = _group_log_joint(layout, lp0, y, Bmat, sigma) + (glogw + gx * gx)[None, :]
-    ell = logsumexp(L, axis=1) + 0.5 * np.log(2.0) + np.log(tau)
-    post = np.exp(L - (ell - 0.5 * np.log(2.0) - np.log(tau))[:, None])
+    b = modes[:, None] + np.sqrt(2.0) * tau[:, None] * gx[None, :]
+    # log p(y_group, b) at each abscissa, built in place: at most two
+    # (entries, K) arrays are alive at once
+    ll = b[layout.g]
+    ll += lp0[:, None]
+    soft = np.logaddexp(0.0, ll)
+    ll *= y[:, None]
+    ll -= soft
+    del soft
+    L = layout.group_sum(ll)
+    del ll
+    L += -0.5 * b * b / (sigma * sigma) - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+    L += (glogw + gx * gx)[None, :]
+    norm = logsumexp(L, axis=1)
+    post = np.exp(L - norm[:, None])
     post /= post.sum(axis=1, keepdims=True)
-    resid = y[:, None] - expit(lp0[:, None] + Bmat[layout.g, :])
-    resid_bar = np.einsum("nk,nk->n", post[layout.g, :], resid)
-    b2_bar = np.einsum("gk,gk->g", post, Bmat * Bmat)
-    return ell, modes, tau, post, resid_bar, b2_bar
+    ell = norm + 0.5 * np.log(2.0) + np.log(tau)
+    return GroupPosterior(layout, lp0, y, sigma, b, post, ell, modes)
 
 
 # ---------------------------------------------------------------------------
 # mixed-model fitting
 
-def mixed_group_logliks(X, y, groups, coefficients, re_sd,
-                        quad_nodes=DEFAULT_QUAD_NODES, mode_start=None):
-    """Per-group marginal log-likelihood at arbitrary parameter values."""
-    X = _as_design(X)
-    y = _check_response(y, X.n)
-    part = _as_partition(groups, X.n)
-    layout = GroupLayout(part.labels, part.group_count)
-    if re_sd == 0.0:
-        lp = X.values @ np.asarray(coefficients, dtype=float)
-        terms = y * lp - np.logaddexp(0.0, lp)
-        return layout.group_sum(layout.sort(terms))
-    lp0 = layout.sort(X.values @ np.asarray(coefficients, dtype=float))
-    ys = layout.sort(y)
-    ell, _, _ = grouped_marginal_logliks(layout, lp0, ys, re_sd, quad_nodes, mode_start)
-    return ell
+def _mixed_evaluator(layout, Xs, ys, quad_nodes):
+    """Closure giving the quadrature posterior at theta = (beta..., log sd).
 
-
-def logistic_group_logliks(X, y, groups, coefficients):
-    return mixed_group_logliks(X, y, groups, coefficients, 0.0)
-
-
-def _mixed_objective(layout, Xs, ys, quad_nodes):
-    """Closure computing (-loglik, -grad) over theta = (beta..., log sd).
-
-    The gradient uses the Fisher identity on the quadrature posterior:
-    d/dbeta = sum_n x_n * E[y_n - p_n(b) | y], d/dlog sd = sum_g E[b^2]/sd^2 - 1.
     Mode warm starts persist across calls.
     """
     cache = {"modes": None}
 
-    def fun(theta):
-        beta, sigma = theta[:-1], float(np.exp(theta[-1]))
-        sigma = max(sigma, 1e-8)
-        lp0 = Xs @ beta
-        ell, modes, _, _, resid_bar, b2_bar = grouped_posterior_bundle(
-            layout, lp0, ys, sigma, quad_nodes, cache["modes"]
-        )
-        cache["modes"] = modes
-        g_beta = Xs.T @ resid_bar
-        g_logsd = float(np.sum(b2_bar / (sigma * sigma) - 1.0))
-        return -float(np.sum(ell)), -np.concatenate([g_beta, [g_logsd]])
+    def posterior(theta):
+        sigma = max(float(np.exp(theta[-1])), 1e-8)
+        post = grouped_posterior_bundle(
+            layout, Xs @ theta[:-1], ys, sigma, quad_nodes, cache["modes"])
+        cache["modes"] = post.modes
+        return post
 
-    return fun
+    return posterior
 
 
-def _fd_hessian(grad_fun, theta, scale=1e-6):
-    p = theta.size
-    H = np.empty((p, p))
-    for j in range(p):
-        h = scale * (1.0 + abs(theta[j]))
-        up = theta.copy(); up[j] += h
-        dn = theta.copy(); dn[j] -= h
-        H[:, j] = (grad_fun(up)[1] - grad_fun(dn)[1]) / (2.0 * h)
-    return 0.5 * (H + H.T)
+def _neg_loglik_and_grad(post, Xs):
+    """(-loglik, -gradient) with the gradient by the Fisher identity:
+    d/dbeta = sum_n x_n E[y_n - p_n(b) | y], d/dlog sd = sum_g E[b^2]/sd^2 - 1.
+    """
+    g_beta = Xs.T @ post.resid_bar()
+    g_logsd = float(np.sum(post.b2_bar() / (post.sigma * post.sigma) - 1.0))
+    return -float(np.sum(post.ell)), -np.concatenate([g_beta, [g_logsd]])
 
 
 def _logistic_as_mixed(base: LogisticFit, part: Partition, quad_nodes: int) -> MixedLogisticFit:
@@ -392,7 +418,10 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
     ys = layout.sort(y)
 
     base = fit_logistic(X, y)
-    fun = _mixed_objective(layout, Xs, ys, quad_nodes)
+    posterior = _mixed_evaluator(layout, Xs, ys, quad_nodes)
+
+    def fun(theta):
+        return _neg_loglik_and_grad(posterior(theta), Xs)
 
     best = None
     used_iters = 0
@@ -405,13 +434,14 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
         )
         used_iters += res.nit
         theta = res.x
-        # damped Newton polish on the analytic gradient
+        # damped Newton polish with the Louis observed information
         for _ in range(40):
-            nll, ng = fun(theta)
+            post = posterior(theta)
+            nll, ng = _neg_loglik_and_grad(post, Xs)
             gnorm = float(np.linalg.norm(ng))
             if gnorm <= gtol or theta[-1] <= _LOG_SD_FLOOR:
                 break
-            H = _fd_hessian(fun, theta)
+            H = post.information(Xs)
             lam = 0.0
             for _ in range(8):
                 try:
@@ -420,7 +450,8 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
                     lam = max(1e-6, lam * 10.0)
                     continue
                 cand = theta + step
-                if fun(cand)[0] <= nll + 1e-12:
+                # the quadrature's own noise in -loglik scales with its size
+                if fun(cand)[0] <= nll + 1e-12 * (1.0 + abs(nll)):
                     theta = cand
                     break
                 lam = max(1e-6, lam * 10.0)
@@ -467,113 +498,89 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
 
 
 # ---------------------------------------------------------------------------
-# scores and prediction
+# scores and information
 
-def per_group_score(fit, X, y, groups=None, step_scale: float = FD_SCORE_STEP) -> np.ndarray:
-    """Per-group score rows of the fitted model's log-likelihood.
-
-    Fixed-effects fits use the analytic X'(y - p) contribution summed per
-    group (any partition). Mixed fits use central finite differences of the
-    per-group marginal log-likelihoods over (beta, log sd) with step
-    step_scale*(1+|param|); the partition must be the fit's own grouping
-    because the marginal likelihood only factorizes over fit groups.
-    """
-    X = _as_design(X)
-    y = _check_response(y, X.n)
-    if isinstance(fit, LogisticFit) or fit.re_sd == 0.0:
-        part = _as_partition(groups if groups is not None else np.zeros(X.n), X.n)
-        p = expit(X.values @ fit.coefficients)
-        contrib = X.values * (y - p)[:, None]
-        out = np.zeros((part.group_count, X.p))
-        np.add.at(out, part.labels, contrib)
-        return out
-    part = fit.groups if groups is None else _as_partition(groups, X.n)
-    if not np.array_equal(part.labels, fit.groups.labels):
-        raise InputError("mixed-model group scores require the fit's own grouping")
+def _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes):
+    """(layout, sorted design, quadrature posterior) at given parameters."""
+    part = _as_partition(groups, X.n)
     layout = GroupLayout(part.labels, part.group_count)
     Xs = layout.sort(X.values)
-    ys = layout.sort(y)
-    theta = np.concatenate([fit.fixed_coefficients, [np.log(fit.re_sd)]])
-    out = np.empty((part.group_count, theta.size))
-    for j in range(theta.size):
-        h = step_scale * (1.0 + abs(theta[j]))
-        up = theta.copy(); up[j] += h
-        dn = theta.copy(); dn[j] -= h
-        ell_up, _, _ = grouped_marginal_logliks(
-            layout, Xs @ up[:-1], ys, float(np.exp(up[-1])), fit.quad_nodes)
-        ell_dn, _, _ = grouped_marginal_logliks(
-            layout, Xs @ dn[:-1], ys, float(np.exp(dn[-1])), fit.quad_nodes)
-        out[:, j] = (ell_up - ell_dn) / (2.0 * h)
-    return out
+    lp0 = Xs @ np.asarray(coefficients, dtype=float)
+    post = grouped_posterior_bundle(layout, lp0, layout.sort(y), float(re_sd), quad_nodes)
+    return layout, Xs, post
 
 
-def per_node_score_contributions(fit, X, y) -> np.ndarray:
-    """Observation-level score contributions that sum to group scores.
+def score_contributions(X, y, groups, coefficients, re_sd,
+                        quad_nodes=DEFAULT_QUAD_NODES) -> np.ndarray:
+    """Observation-level score rows at any parameter values.
 
-    For mixed fits these come from the Fisher identity: each observation
-    contributes x_n * E[y_n - p_n(b) | y_group], and the log-sd component
-    E[b^2]/sd^2 - 1 (a whole-group quantity) is split equally across the
-    group's observations. Summing rows within any union of fit groups gives
-    that union's exact score, which is what regrouped variance stacks need.
+    With re_sd=0 the rows are the fixed-effects x(y - p) and `groups` is
+    not used. Otherwise they come from the Fisher identity over
+    (beta..., log sd): each observation contributes x * E[y - p(b) | y_group],
+    and its group's log-sd score E[b^2]/sd^2 - 1 is split equally across
+    the group's observations. Summing rows within any union of groups gives
+    that union's exact score, which regrouped variance stacks need.
     """
     X = _as_design(X)
     y = _check_response(y, X.n)
-    if isinstance(fit, LogisticFit) or fit.re_sd == 0.0:
-        p = expit(X.values @ fit.coefficients)
+    if re_sd == 0.0:
+        p = expit(X.values @ np.asarray(coefficients, dtype=float))
         return X.values * (y - p)[:, None]
-    part = fit.groups
-    layout = GroupLayout(part.labels, part.group_count)
-    Xs = layout.sort(X.values)
-    ys = layout.sort(y)
-    lp0 = Xs @ fit.fixed_coefficients
-    _, _, _, _, resid_bar, b2_bar = grouped_posterior_bundle(
-        layout, lp0, ys, fit.re_sd, fit.quad_nodes)
-    beta_part = Xs * resid_bar[:, None]
-    sd_group = b2_bar / (fit.re_sd ** 2) - 1.0
-    sd_part = (sd_group / layout.sizes)[layout.g]
-    sorted_rows = np.column_stack([beta_part, sd_part])
-    out = np.empty_like(sorted_rows)
-    out[layout.order] = sorted_rows
+    layout, Xs, post = _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes)
+    out = np.empty((X.n, X.p + 1))
+    out[layout.order] = post.score_rows(Xs)
     return out
 
 
-def mixed_total_score(X, y, groups, coefficients, re_sd,
-                      quad_nodes=DEFAULT_QUAD_NODES) -> np.ndarray:
-    """Total marginal-log-likelihood gradient over (beta..., log sd).
+def per_group_score(fit, X, y, groups=None) -> np.ndarray:
+    """Per-group score rows at the fit, over any partition of the rows.
 
-    Fisher-identity form evaluated on the quadrature posterior; smooth in
-    the parameters, so outer finite differences of this function give the
-    observed-information blocks without squared round-off loss.
+    The default partition is the fit's own grouping for mixed fits and a
+    single group for fixed-effects fits.
+    """
+    X = _as_design(X)
+    if groups is None:
+        groups = fit.groups if fit.re_sd > 0.0 else np.zeros(X.n, dtype=np.int64)
+    part = _as_partition(groups, X.n)
+    contrib = score_contributions(X, y, getattr(fit, "groups", None), fit.coefficients,
+                                  fit.re_sd, getattr(fit, "quad_nodes", DEFAULT_QUAD_NODES))
+    out = np.zeros((part.group_count, contrib.shape[1]))
+    np.add.at(out, part.labels, contrib)
+    return out
+
+
+def mixed_information(X, y, groups, coefficients, re_sd,
+                      quad_nodes=DEFAULT_QUAD_NODES) -> np.ndarray:
+    """Observed information of the marginal log-likelihood over
+    (beta..., log sd), by the Louis identity on the quadrature posterior."""
+    X = _as_design(X)
+    y = _check_response(y, X.n)
+    _, Xs, post = _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes)
+    return post.information(Xs)
+
+
+def mixed_group_modes(X, y, groups, coefficients, re_sd):
+    """Posterior modes of the shared intercept and their parameter Jacobian.
+
+    Returns (modes, jac), both indexed by group label; jac[g] is
+    d b_g / d(beta..., log sd), by implicit differentiation of the mode
+    equation sum_j (y_j - p_j) - b/sd^2 = 0:
+    d b/d beta = -sum_j p_j(1 - p_j) x_j / H and d b/d log sd = 2 b/(sd^2 H),
+    where H = sum_j p_j(1 - p_j) + 1/sd^2 = 1/tau^2.
     """
     X = _as_design(X)
     y = _check_response(y, X.n)
     part = _as_partition(groups, X.n)
     layout = GroupLayout(part.labels, part.group_count)
     Xs = layout.sort(X.values)
-    ys = layout.sort(y)
     sigma = float(re_sd)
     lp0 = Xs @ np.asarray(coefficients, dtype=float)
-    _, _, _, _, resid_bar, b2_bar = grouped_posterior_bundle(
-        layout, lp0, ys, sigma, quad_nodes)
-    g_beta = Xs.T @ resid_bar
-    g_logsd = float(np.sum(b2_bar / (sigma * sigma) - 1.0))
-    return np.concatenate([g_beta, [g_logsd]])
-
-
-def mixed_group_modes(X, y, groups, coefficients, re_sd,
-                      quad_nodes=DEFAULT_QUAD_NODES) -> np.ndarray:
-    """Posterior modes of the shared intercept at arbitrary parameters.
-
-    Indexed by group label. Used when a derivative must pass through the
-    mode-dependent pieces (censoring survival under a mixed fit).
-    """
-    X = _as_design(X)
-    y = _check_response(y, X.n)
-    part = _as_partition(groups, X.n)
-    layout = GroupLayout(part.labels, part.group_count)
-    lp0 = layout.sort(X.values) @ np.asarray(coefficients, dtype=float)
-    modes, _ = _group_modes(layout, lp0, layout.sort(y), float(re_sd))
-    return modes
+    modes, tau = _group_modes(layout, lp0, layout.sort(y), sigma)
+    p = expit(lp0 + modes[layout.g])
+    tau2 = tau * tau
+    d_beta = -layout.group_sum(Xs * (p * (1.0 - p))[:, None]) * tau2[:, None]
+    d_logsd = 2.0 * modes * tau2 / (sigma * sigma)
+    return modes, np.column_stack([d_beta, d_logsd])
 
 
 def logistic_information(X, coefficients) -> np.ndarray:
@@ -582,12 +589,3 @@ def logistic_information(X, coefficients) -> np.ndarray:
     p = expit(X.values @ np.asarray(coefficients, dtype=float))
     w = p * (1.0 - p)
     return (X.values * w[:, None]).T @ X.values
-
-
-def predict_prob(fit, X, group_effect=None) -> np.ndarray:
-    """Fitted probabilities, optionally shifted by per-row intercepts."""
-    X = _as_design(X)
-    lp = X.values @ np.asarray(fit.coefficients, dtype=float)
-    if group_effect is not None:
-        lp = lp + np.asarray(group_effect, dtype=float)
-    return expit(lp)

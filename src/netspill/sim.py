@@ -35,7 +35,6 @@ from .netgraph import (
     generate_trip_shaped,
 )
 
-Z975 = est.Z975
 FAILURE_WARN_FRACTION = 0.05
 
 
@@ -346,7 +345,7 @@ def run_replicates(sc: Scenario, threads: int = 1, variance_partition=None,
         j = col[key]
         e, s, t = E[:, j], S[:, j], T[:, j]
         t_for_cover = t if sc.truth_mode == "per-replicate" else np.full_like(t, t.mean())
-        covered = np.abs(e - t_for_cover) <= Z975 * s
+        covered = np.abs(e - t_for_cover) <= est.Z975 * s
         rows.append(EstimandSummary(
             name=est.estimand_name(*key),
             true_value=float(t.mean()),

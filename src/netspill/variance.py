@@ -14,10 +14,15 @@ once per group, so their Jacobian block is exactly -I and the bread matrix
 is A_m = -(1/m) sum_nu d psi_nu / d theta'. The variance estimate is
 Sigma = A^-1 B (A^-1)' / m with B = (1/m) sum_nu psi_nu psi_nu'.
 
-Model blocks of A come from observed information (finite differences of
-the analytic marginal score for mixed fits, closed form for logistic);
-the target-vs-model blocks are -d Yhat_t / d(param), by central finite
-differences straight through the density and survival recomputation.
+Every block of A is analytic (stacked M-estimation; Stefanski & Boos
+2002). The model blocks are observed information: X'WX for logistic fits
+and the Louis identity on the quadrature posterior for mixed fits. The
+target-vs-model blocks are -d Yhat_t / d(param), from the Fisher-identity
+gradient of each closed-neighborhood log density and the derivative of
+each censoring linear predictor, which for a mixed fit passes through the
+group's posterior mode by implicit differentiation. component_psi at
+arbitrary stack values recomputes every piece, so finite differences of
+it check A from outside.
 """
 from __future__ import annotations
 
@@ -33,7 +38,6 @@ from . import weights as wt
 from .errors import InputError, NumericalError
 from .netgraph import Partition
 
-FD_A_STEP = 1e-5          # step scale for bread-matrix derivatives
 COND_LIMIT = 1e12
 NEG_VAR_TOL = -1e-12
 
@@ -136,61 +140,38 @@ class _ModelBlock:
         return params, 0.0
 
     def group_scores(self, groups: Partition, params=None) -> np.ndarray:
-        """Score rows per variance group, at the fit or perturbed params."""
-        at_fit = params is None
-        coefs, sd = self.split(self.params if at_fit else np.asarray(params, dtype=float))
-        if not self.mixed:
-            p = expit(self.design.values @ coefs)
-            contrib = self.design.values * (self.y - p)[:, None]
-            out = np.zeros((groups.group_count, coefs.size))
-            np.add.at(out, groups.labels, contrib)
-            return out
-        if np.array_equal(groups.labels, self.fit.groups.labels):
-            if at_fit:
-                return glm.per_group_score(self.fit, self.design, self.y)
-            return self._fd_group_scores(groups, coefs, sd)
-        if not at_fit:
-            raise InputError("regrouped scores are only available at the fitted params")
-        contrib = glm.per_node_score_contributions(self.fit, self.design, self.y)
+        """Score rows per variance group, at the fit or at given params.
+
+        Observation-level score rows (analytic, Fisher identity for mixed
+        fits) summed within each group, so any partition works.
+        """
+        coefs, sd = self.split(self.params if params is None else np.asarray(params, dtype=float))
+        contrib = glm.score_contributions(
+            self.design, self.y, getattr(self.fit, "groups", None), coefs, sd,
+            getattr(self.fit, "quad_nodes", glm.DEFAULT_QUAD_NODES))
         out = np.zeros((groups.group_count, contrib.shape[1]))
         np.add.at(out, groups.labels, contrib)
-        return out
-
-    def _fd_group_scores(self, groups, coefs, sd) -> np.ndarray:
-        theta = np.concatenate([coefs, [np.log(sd)]])
-        out = np.empty((groups.group_count, theta.size))
-        for j in range(theta.size):
-            h = glm.FD_SCORE_STEP * (1.0 + abs(theta[j]))
-            up = theta.copy(); up[j] += h
-            dn = theta.copy(); dn[j] -= h
-            ell_up = glm.mixed_group_logliks(
-                self.design, self.y, groups, up[:-1], float(np.exp(up[-1])),
-                self.fit.quad_nodes)
-            ell_dn = glm.mixed_group_logliks(
-                self.design, self.y, groups, dn[:-1], float(np.exp(dn[-1])),
-                self.fit.quad_nodes)
-            out[:, j] = (ell_up - ell_dn) / (2.0 * h)
         return out
 
     def information(self) -> np.ndarray:
         """Observed information (negative Hessian) of the marginal loglik."""
         if not self.mixed:
             return glm.logistic_information(self.design, self.params)
-        theta = self.params
-        H = np.empty((theta.size, theta.size))
-        for j in range(theta.size):
-            h = FD_A_STEP * (1.0 + abs(theta[j]))
-            up = theta.copy(); up[j] += h
-            dn = theta.copy(); dn[j] -= h
-            g_up = glm.mixed_total_score(
-                self.design, self.y, self.fit.groups, up[:-1], float(np.exp(up[-1])),
-                self.fit.quad_nodes)
-            g_dn = glm.mixed_total_score(
-                self.design, self.y, self.fit.groups, dn[:-1], float(np.exp(dn[-1])),
-                self.fit.quad_nodes)
-            H[:, j] = (g_up - g_dn) / (2.0 * h)
-        H = 0.5 * (H + H.T)
-        return -H
+        coefs, sd = self.split(self.params)
+        return glm.mixed_information(self.design, self.y, self.fit.groups, coefs, sd,
+                                     self.fit.quad_nodes)
+
+    def lp_gradient(self) -> np.ndarray:
+        """d(linear predictor)/d params per node at the fit; for mixed fits
+        the predictor includes the group's posterior mode."""
+        X = self.design.values
+        if not self.mixed:
+            return X
+        coefs, sd = self.split(self.params)
+        _, jac = glm.mixed_group_modes(self.design, self.y, self.fit.groups, coefs, sd)
+        out = jac[self.fit.groups.labels]
+        out[:, :-1] += X
+        return out
 
 
 class _Context:
@@ -249,17 +230,11 @@ class _Context:
         coefs, sd = self.cens.split(np.asarray(eta, dtype=float))
         lp = self.cens.design.values @ coefs
         if sd > 0.0:
-            modes = glm.mixed_group_modes(
+            modes, _ = glm.mixed_group_modes(
                 self.cens.design, self.data.C, self.cens.fit.groups, coefs, sd)
             lp = lp + modes[self.cens.fit.groups.labels]
         with np.errstate(divide="ignore"):
             return np.log(expit(-lp))
-
-    def estimates_at(self, gamma=None, eta=None) -> np.ndarray:
-        logf = self.logf if gamma is None else self.logf_at(gamma)
-        logs = self.logs if eta is None else self.logs_at(eta)
-        _, T = est.target_terms(self.net, self.data, logf, logs, self.allocs)
-        return T.mean(axis=0)
 
 
 def build_context(net, data, pfit, cfit, prop_design, cens_design, allocs,
@@ -304,29 +279,27 @@ def component_psi(ctx: _Context, values=None) -> np.ndarray:
 def compute_A(ctx: _Context) -> np.ndarray:
     """Bread matrix A_m = -(1/m) sum_nu d psi_nu / d theta'.
 
-    Model-vs-model blocks are information/(m*k_hat); cross blocks between
-    the two models and from models to targets are zero; target rows give
-    -d Yhat/d(model params) and an exact identity on the target diagonal.
+    Model-vs-model blocks are information/n (n = m*k_hat); cross blocks
+    between the two models and from models to targets are zero; the target
+    diagonal is an exact identity. Target rows are -d Yhat/d(model params)
+    in closed form. Each term T_it carries 1/(f_i s_i), so with
+    q_i = 1 - s_i and lp_i the censoring linear predictor:
+
+        A[t, gamma] =  (1/n) sum_i T_it d log f_i / d gamma
+        A[t, eta]   = -(1/n) sum_i T_it q_i d lp_i / d eta
     """
     stack = ctx.stack
     P = stack.size
     A = np.zeros((P, P))
     scale = 1.0 / (ctx.m * ctx.k_hat)
-    A[stack.gamma_slice, stack.gamma_slice] = ctx.prop.information() * scale
-    A[stack.eta_slice, stack.eta_slice] = ctx.cens.information() * scale
-
-    ts = stack.target_slice
-    for block, getter in ((stack.gamma_slice, "gamma"), (stack.eta_slice, "eta")):
-        params = stack.values[block]
-        for j in range(params.size):
-            h = FD_A_STEP * (1.0 + abs(params[j]))
-            up = params.copy(); up[j] += h
-            dn = params.copy(); dn[j] -= h
-            if getter == "gamma":
-                d_est = (ctx.estimates_at(gamma=up) - ctx.estimates_at(gamma=dn)) / (2 * h)
-            else:
-                d_est = (ctx.estimates_at(eta=up) - ctx.estimates_at(eta=dn)) / (2 * h)
-            A[ts, block.start + j] = -d_est
+    gs, es, ts = stack.gamma_slice, stack.eta_slice, stack.target_slice
+    A[gs, gs] = ctx.prop.information() * scale
+    A[es, es] = ctx.cens.information() * scale
+    dlogf = wt.log_propensity_density_gradient(
+        ctx.net, ctx.data.A, ctx.prop.design, ctx.prop.fit, ctx.quad_nodes)
+    A[ts, gs] = ctx.T.T @ dlogf * scale
+    q = -np.expm1(ctx.logs)
+    A[ts, es] = -(ctx.T * q[:, None]).T @ ctx.cens.lp_gradient() * scale
     A[ts, ts] = np.eye(len(ctx.keys))
     return A
 

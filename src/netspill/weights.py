@@ -101,6 +101,15 @@ def neighborhood_layout(net):
     return pair
 
 
+def _neighborhood_terms(net, A, design, beta):
+    """(layout, member, linear predictor, exposure) of every closed-
+    neighborhood entry, in layout order."""
+    if design.n != net.n:
+        raise InputError("propensity design must have one row per node")
+    layout, member = neighborhood_layout(net)
+    return layout, member, (design.values @ beta)[member], np.asarray(A)[member].astype(float)
+
+
 def log_propensity_density_all(net, A, design, fit, quad_nodes=None, *,
                                coefficients=None, re_sd=None) -> np.ndarray:
     """log density of each node's observed closed-neighborhood exposures.
@@ -108,24 +117,39 @@ def log_propensity_density_all(net, A, design, fit, quad_nodes=None, *,
     Mixed fits integrate a fresh shared N(0, re_sd^2) intercept across the
     closed neighborhood with the same adaptive quadrature used at fit time;
     re_sd=0 reduces to an independent Bernoulli product. `coefficients` and
-    `re_sd` override the fitted values (used by finite-difference Jacobians).
+    `re_sd` override the fitted values.
     """
-    design = glm._as_design(design)
-    if design.n != net.n:
-        raise InputError("propensity design must have one row per node")
-    A = np.asarray(A)
     beta = np.asarray(fit.coefficients if coefficients is None else coefficients, dtype=float)
     sigma = float(fit.re_sd if re_sd is None else re_sd)
     if quad_nodes is None:
         quad_nodes = getattr(fit, "quad_nodes", glm.DEFAULT_QUAD_NODES)
-    layout, member = neighborhood_layout(net)
-    lp0 = (design.values @ beta)[member]
-    y = A[member].astype(float)
+    design = glm._as_design(design)
+    layout, _, lp0, y = _neighborhood_terms(net, A, design, beta)
     if sigma == 0.0:
         terms = y * lp0 - np.logaddexp(0.0, lp0)
         return layout.group_sum(terms)
-    ell, _, _ = glm.grouped_marginal_logliks(layout, lp0, y, sigma, quad_nodes)
-    return ell
+    return glm.grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes).ell
+
+
+def log_propensity_density_gradient(net, A, design, fit, quad_nodes=None) -> np.ndarray:
+    """d log f_i / d(coefficients..., log re_sd) at the fit, one row per node.
+
+    By the Fisher identity on each closed neighborhood's posterior:
+    d/d beta = sum_{j in N_i} x_j E[A_j - p_j(b)] and
+    d/d log sd = E[b^2]/sd^2 - 1. Fixed-effects fits have no log-sd column.
+    """
+    beta = np.asarray(fit.coefficients, dtype=float)
+    sigma = float(fit.re_sd)
+    if quad_nodes is None:
+        quad_nodes = getattr(fit, "quad_nodes", glm.DEFAULT_QUAD_NODES)
+    design = glm._as_design(design)
+    layout, member, lp0, y = _neighborhood_terms(net, A, design, beta)
+    X = design.values[member]
+    if sigma == 0.0:
+        return layout.group_sum(X * (y - expit(lp0))[:, None])
+    post = glm.grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes)
+    d_beta = layout.group_sum(X * post.resid_bar()[:, None])
+    return np.column_stack([d_beta, post.b2_bar() / (sigma * sigma) - 1.0])
 
 
 def propensity_density(net, i, A, design, fit, quad_nodes=None) -> float:
@@ -143,15 +167,14 @@ def propensity_density(net, i, A, design, fit, quad_nodes=None) -> float:
 # ---------------------------------------------------------------------------
 # censoring survival
 
-def censoring_survival_all(design, fit, *, coefficients=None) -> np.ndarray:
+def censoring_survival_all(design, fit) -> np.ndarray:
     """P(uncensored) per node: 1 - expit(linear predictor [+ posterior mode]).
 
     Mixed censoring fits add each node's group posterior mode to the linear
     predictor; fixed-effects fits use the linear predictor alone.
     """
     design = glm._as_design(design)
-    beta = np.asarray(fit.coefficients if coefficients is None else coefficients, dtype=float)
-    lp = design.values @ beta
+    lp = design.values @ np.asarray(fit.coefficients, dtype=float)
     if getattr(fit, "re_sd", 0.0) > 0.0:
         # group_modes is indexed by group label (labels are contiguous)
         lp = lp + np.asarray(fit.group_modes, dtype=float)[fit.groups.labels]

@@ -118,6 +118,7 @@ def main_reports():
     return {"logistic": logistic, "mixed": mixed}
 
 
+@pytest.mark.slow
 class TestStudyScaleCalibration:
     """Criterion: at 200 components and 1000 replicates, every estimand in
     both censoring arms has small bias, matching average and empirical SEs,
@@ -133,6 +134,7 @@ class TestStudyScaleCalibration:
             assert 0.91 <= r.ecp <= 0.98, (arm, r.name, r.ecp)
 
 
+@pytest.mark.slow
 class TestSmallSampleAnticonservatism:
     """Criterion: with only 10 components the sandwich intervals undercover
     for most estimands."""
@@ -144,6 +146,7 @@ class TestSmallSampleAnticonservatism:
         assert under >= 5, [(r.name, r.ecp) for r in rep.rows]
 
 
+@pytest.mark.slow
 class TestClusteredNetworkGrouping:
     """Criterion: on the sparse clustered network, component-level grouping
     keeps coverage while community-level grouping loses it; the grouping
@@ -162,6 +165,7 @@ class TestClusteredNetworkGrouping:
             np.random.default_rng(0)).m
 
 
+@pytest.mark.slow
 class TestCensoringModelSensitivity:
     """Criterion: under correlated censoring, fitting the censoring model
     with or without the random intercept barely moves coverage."""
@@ -217,9 +221,9 @@ class TestMixedModelRecovery:
             h = 1e-5 * (1.0 + abs(theta[j]))
             up = theta.copy(); up[j] += h
             dn = theta.copy(); dn[j] -= h
-            H[:, j] = (glm.mixed_total_score(X, y, groups, up[:2], np.exp(up[2]))
-                       - glm.mixed_total_score(X, y, groups, dn[:2],
-                                               np.exp(dn[2]))) / (2 * h)
+            H[:, j] = (glm.score_contributions(X, y, groups, up[:2], np.exp(up[2]))
+                       - glm.score_contributions(X, y, groups, dn[:2], np.exp(dn[2]))
+                       ).sum(axis=0) / (2 * h)
         se = np.sqrt(np.diag(np.linalg.inv(-0.5 * (H + H.T)))[:2])
         for truth, got, s in zip((0.7, -1.4), fit.fixed_coefficients, se):
             assert abs(got - truth) <= 3 * s, (truth, got, s)

@@ -66,6 +66,18 @@ class TestEstimate:
         assert manifest["command"] == "estimate"
         assert "config_hash" in manifest
 
+    def test_bad_quad_nodes_exits_2(self, tmp_path):
+        # one exposed node in every pair: the propensity sd collapses to 0,
+        # so no density integral is left to catch the bad rule
+        edges, nodes = tmp_path / "edges.csv", tmp_path / "nodes.csv"
+        io.write_csv_atomic(str(edges), ("src", "dst"),
+                            [(f"n{2 * k}", f"n{2 * k + 1}") for k in range(40)])
+        rows = [(f"n{i}", i % 2, int(i % 7 == 0), "" if i % 7 == 0 else i % 3 % 2,
+                 i % 5 % 2) for i in range(80)]
+        io.write_csv_atomic(str(nodes), ("id", "A", "C", "Y", "Z_1"), rows)
+        assert run_cli(["estimate", "--edges", str(edges), "--nodes", str(nodes),
+                        "--quad-nodes", "10", "--out", str(tmp_path / "out")]) == 2
+
     def test_censored_nodes_have_blank_weight(self, study_files, tmp_path):
         edges, nodes = study_files
         out = str(tmp_path / "out")

@@ -167,6 +167,15 @@ class TestEffectTable:
 
 
 class TestTrueValues:
+    def test_binomial_pmf_matches_scipy(self):
+        from scipy.stats import binom
+
+        for d in range(41):
+            for alpha in (0.1, 0.25, 1 / 3, 0.5, 0.6, 0.75, 0.9):
+                np.testing.assert_allclose(
+                    est._binomial_pmf_matrix(d, alpha),
+                    binom.pmf(np.arange(d + 1), d, alpha), rtol=0, atol=1e-15)
+
     def random_table(self, net, seed):
         rng = np.random.default_rng(seed)
         blocks = [rng.random((2, d + 1)) for d in net.degrees]

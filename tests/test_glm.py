@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
-from netspill import glm
+from netspill import glm, sim
 from netspill.errors import ConvergenceError, InputError
 from netspill.netgraph import Partition
 
@@ -105,7 +105,7 @@ class TestGroupedMarginalLoglik:
         lp = layout.sort(X @ beta)
         ys = layout.sort(y)
         for sigma in (0.2, 0.6, 1.3):
-            ell, _, _ = glm.grouped_marginal_logliks(layout, lp, ys, sigma)
+            ell = glm.grouped_posterior_bundle(layout, lp, ys, sigma).ell
             brute = brute_marginal_loglik(X, y, groups, beta, sigma, n_grid=2001)
             assert float(np.sum(ell)) == pytest.approx(brute, abs=1e-6)
 
@@ -114,8 +114,8 @@ class TestGroupedMarginalLoglik:
         layout = glm.GroupLayout(groups, 15)
         lp = layout.sort(X @ np.array([0.2, -0.5]))
         ys = layout.sort(y)
-        l21, _, _ = glm.grouped_marginal_logliks(layout, lp, ys, 0.7, quad_nodes=21)
-        l41, _, _ = glm.grouped_marginal_logliks(layout, lp, ys, 0.7, quad_nodes=41)
+        l21 = glm.grouped_posterior_bundle(layout, lp, ys, 0.7, quad_nodes=21).ell
+        l41 = glm.grouped_posterior_bundle(layout, lp, ys, 0.7, quad_nodes=41).ell
         assert float(np.abs(l21 - l41).max()) < 1e-6
 
     def test_invalid_inputs_rejected(self):
@@ -124,9 +124,9 @@ class TestGroupedMarginalLoglik:
         lp = layout.sort(X @ np.zeros(2))
         ys = layout.sort(y)
         with pytest.raises(InputError):
-            glm.grouped_marginal_logliks(layout, lp, ys, -0.1)
+            glm.grouped_posterior_bundle(layout, lp, ys, -0.1)
         with pytest.raises(InputError):
-            glm.grouped_marginal_logliks(layout, lp, ys, 0.5, quad_nodes=10)
+            glm.grouped_posterior_bundle(layout, lp, ys, 0.5, quad_nodes=10)
 
 
 class TestFitMixedLogistic:
@@ -166,6 +166,19 @@ class TestFitMixedLogistic:
         else:
             # with 40 nodes per group the spurious heterogeneity is small
             assert fit.re_sd < 0.2
+
+    def test_polish_accepts_step_within_quadrature_noise(self):
+        # paper-trip replicate 44: the Newton step that brings the gradient
+        # norm from 4e-7 to below tolerance raises -loglik by about 1e-11,
+        # which is quadrature noise at |loglik| ~ 180
+        sc = sim.preset_scenario("paper-trip")
+        children = np.random.SeedSequence(sc.seed).spawn(46)
+        net = sim.generate_network(sc.network, np.random.default_rng(children[0]))
+        data, _ = sim.generate_dataset(net, sc, np.random.default_rng(children[45]))
+        X = np.column_stack([np.ones(net.n), data.Z])
+        fit = glm.fit_mixed_logistic(X, data.A, net.components, quad_nodes=sc.quad_nodes)
+        assert fit.converged
+        assert fit.gradient_norm <= glm.GLMM_GRADIENT_TOL
 
     def test_accepts_partition_object(self):
         X, y, groups = make_grouped_data(24, n_groups=10, group_size=6)
@@ -224,7 +237,7 @@ class TestScores:
         X, y, groups = make_grouped_data(34, n_groups=12, group_size=7, sigma=0.9)
         fit = glm.fit_mixed_logistic(X, y, groups)
         assert fit.re_sd > 0.0
-        contrib = glm.per_node_score_contributions(fit, X, y)
+        contrib = glm.score_contributions(X, y, groups, fit.fixed_coefficients, fit.re_sd)
         group_scores = glm.per_group_score(fit, X, y)
         summed = np.zeros_like(group_scores)
         np.add.at(summed, groups, contrib)
@@ -233,7 +246,7 @@ class TestScores:
     def test_per_node_contributions_support_regrouping(self):
         X, y, groups = make_grouped_data(35, n_groups=8, group_size=8)
         fit = glm.fit_mixed_logistic(X, y, groups)
-        contrib = glm.per_node_score_contributions(fit, X, y)
+        contrib = glm.score_contributions(X, y, groups, fit.fixed_coefficients, fit.re_sd)
         # regroup nodes by a finer partition: pairs within each fit group
         fine = np.arange(64) // 2
         summed = np.zeros((32, contrib.shape[1]))
@@ -242,11 +255,11 @@ class TestScores:
         total = glm.per_group_score(fit, X, y).sum(axis=0)
         np.testing.assert_allclose(summed.sum(axis=0), total, atol=1e-8)
 
-    def test_mixed_total_score_matches_fd(self):
+    def test_score_contributions_match_fd(self):
         X, y, groups = make_grouped_data(36, n_groups=15, group_size=6)
         beta = np.array([0.1, -0.4])
         sd = 0.5
-        total = glm.mixed_total_score(X, y, groups, beta, sd)
+        total = glm.score_contributions(X, y, groups, beta, sd).sum(axis=0)
         theta = np.concatenate([beta, [np.log(sd)]])
         for j in range(3):
             h = 1e-6 * (1.0 + abs(theta[j]))
@@ -255,6 +268,35 @@ class TestScores:
             fd = (brute_marginal_loglik(X, y, groups, up[:2], np.exp(up[2]), 2001)
                   - brute_marginal_loglik(X, y, groups, dn[:2], np.exp(dn[2]), 2001)) / (2 * h)
             assert total[j] == pytest.approx(fd, abs=5e-4)
+
+
+    def test_louis_information_matches_fd_of_score(self):
+        X, y, groups = make_grouped_data(37, n_groups=20, group_size=7)
+        beta = np.array([0.3, -0.8])
+        for sd in (0.02, 0.1, 0.5, 1.5):
+            info = glm.mixed_information(X, y, groups, beta, sd)
+            theta = np.concatenate([beta, [np.log(sd)]])
+            fd = np.empty((3, 3))
+            for j in range(3):
+                h = 1e-5 * (1.0 + abs(theta[j]))
+                up = theta.copy(); up[j] += h
+                dn = theta.copy(); dn[j] -= h
+                fd[:, j] = -(glm.score_contributions(X, y, groups, up[:2], np.exp(up[2]))
+                             - glm.score_contributions(X, y, groups, dn[:2], np.exp(dn[2]))
+                             ).sum(axis=0) / (2 * h)
+            np.testing.assert_allclose(info, fd, rtol=0, atol=1e-7 * np.abs(fd).max())
+
+    def test_mode_jacobian_matches_fd(self):
+        X, y, groups = make_grouped_data(38, n_groups=10, group_size=6)
+        theta = np.array([-0.2, 0.5, np.log(0.7)])
+        _, jac = glm.mixed_group_modes(X, y, groups, theta[:2], np.exp(theta[2]))
+        for j in range(3):
+            h = 1e-6 * (1.0 + abs(theta[j]))
+            up = theta.copy(); up[j] += h
+            dn = theta.copy(); dn[j] -= h
+            fd = (glm.mixed_group_modes(X, y, groups, up[:2], np.exp(up[2]))[0]
+                  - glm.mixed_group_modes(X, y, groups, dn[:2], np.exp(dn[2]))[0]) / (2 * h)
+            np.testing.assert_allclose(jac[:, j], fd, rtol=0, atol=1e-8)
 
 
 class TestGroupLayout:

@@ -9,6 +9,7 @@ from netspill.estimator import StudyData, estimand_name
 from netspill.weights import censoring_survival_all, log_propensity_density_all
 
 ALLOCS = [0.3, 0.6]
+FD_STEP = 1e-5    # central-difference step scale of the FD oracles
 
 
 def make_dataset(seed, m=25, mean_size=8.0, degree=3, cens_mixed=False):
@@ -85,7 +86,7 @@ class TestComputeA:
         values = ctx.stack.values
         J = np.zeros((ctx.stack.size, ctx.stack.size))
         for j in range(ctx.stack.size):
-            h = var.FD_A_STEP * (1.0 + abs(values[j]))
+            h = FD_STEP * (1.0 + abs(values[j]))
             up = values.copy(); up[j] += h
             dn = values.copy(); dn[j] -= h
             dpsi = (var.component_psi(ctx, up).mean(axis=0)
@@ -99,7 +100,7 @@ class TestComputeA:
         values = ctx.stack.values
         J = np.zeros_like(A)
         for j in range(ctx.stack.size):
-            h = var.FD_A_STEP * (1.0 + abs(values[j]))
+            h = FD_STEP * (1.0 + abs(values[j]))
             up = values.copy(); up[j] += h
             dn = values.copy(); dn[j] -= h
             dpsi = (var.component_psi(ctx, up).mean(axis=0)

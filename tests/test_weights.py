@@ -133,6 +133,26 @@ class TestPropensityDensity:
         f41 = wt.log_propensity_density_all(net, A, X, fit, quad_nodes=41)
         np.testing.assert_allclose(f21, f41, atol=1e-8)
 
+    def test_gradient_matches_fd_of_log_density(self):
+        net = self.star_network()
+        X = np.column_stack([np.ones(5), np.array([0.3, -1.2, 0.8, 0.0, 1.5])])
+        A = np.array([1, 0, 1, 1, 0])
+        for sd in (0.0, 0.7):
+            fit = make_mixed_fit([0.2, -0.6], sd)
+            grad = wt.log_propensity_density_gradient(net, A, X, fit)
+            theta = np.array([0.2, -0.6] + ([np.log(sd)] if sd else []))
+            assert grad.shape == (5, theta.size)
+            for j in range(theta.size):
+                h = 1e-5 * (1.0 + abs(theta[j]))
+                logf = []
+                for t in (theta[j] + h, theta[j] - h):
+                    th = theta.copy(); th[j] = t
+                    logf.append(wt.log_propensity_density_all(
+                        net, A, X, fit, coefficients=th[:2],
+                        re_sd=np.exp(th[2]) if sd else 0.0))
+                fd = (logf[0] - logf[1]) / (2 * h)
+                np.testing.assert_allclose(grad[:, j], fd, rtol=0, atol=1e-8)
+
     def test_out_of_range_node_rejected(self):
         net = self.star_network()
         X = np.ones((5, 1))
