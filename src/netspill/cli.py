@@ -11,7 +11,6 @@ linear algebra, 4 positivity (weight denominator underflow).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -55,16 +54,12 @@ def _default_threads():
         raise InputError(f"bad NETSPILL_THREADS value {raw!r}") from exc
 
 
-def _hash_config(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
 def _write_manifest(out_dir, command, cfg, seed, outputs, threads=None):
     manifest = {
         "command": command,
         "version": __version__,
         "config": cfg,
-        "config_hash": _hash_config(cfg),
+        "config_hash": simmod.hash_config(cfg),
         "seed": seed,
         "outputs": sorted(outputs),
     }
@@ -160,10 +155,13 @@ def cmd_estimate(edges, nodes, alloc, censoring, keep_isolates, weight_threshold
             "log_likelihood": float(fit.log_likelihood),
             "converged": bool(fit.converged),
         }
+        notes = []
         if isinstance(fit, glm.MixedLogisticFit) and fit.re_sd == 0.0:
-            d["note"] = "random-intercept sd collapsed to 0; logistic-equivalent fit"
-        if getattr(fit, "separation_warning", False):
-            d["note"] = "separation warning: some coefficient beyond 15"
+            notes.append("random-intercept sd collapsed to 0; logistic-equivalent fit")
+        if fit.separation_warning:
+            notes.append("separation warning: some coefficient beyond 15")
+        if notes:
+            d["note"] = "; ".join(notes)
         return d
 
     summary = {

@@ -108,8 +108,6 @@ def estimand_name(arm, alpha) -> str:
 def observed_treated_counts(net, A) -> np.ndarray:
     """Number of exposed neighbors of each node."""
     A = np.asarray(A, dtype=float)
-    if net.nbr_flat.size == 0:
-        return np.zeros(net.n)
     return np.bincount(net.owner_flat, A[net.nbr_flat], minlength=net.n)
 
 

@@ -130,6 +130,7 @@ class MixedLogisticFit:
     gradient_norm: float
     groups: Partition
     quad_nodes: int
+    separation_warning: bool = False   # the sd-0 fallback keeps its base fit's flag
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -395,6 +396,7 @@ def _logistic_as_mixed(base: LogisticFit, part: Partition, quad_nodes: int) -> M
         gradient_norm=0.0,
         groups=part,
         quad_nodes=quad_nodes,
+        separation_warning=base.separation_warning,
     )
 
 
@@ -529,23 +531,6 @@ def score_contributions(X, y, groups, coefficients, re_sd,
     layout, Xs, post = _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes)
     out = np.empty((X.n, X.p + 1))
     out[layout.order] = post.score_rows(Xs)
-    return out
-
-
-def per_group_score(fit, X, y, groups=None) -> np.ndarray:
-    """Per-group score rows at the fit, over any partition of the rows.
-
-    The default partition is the fit's own grouping for mixed fits and a
-    single group for fixed-effects fits.
-    """
-    X = _as_design(X)
-    if groups is None:
-        groups = fit.groups if fit.re_sd > 0.0 else np.zeros(X.n, dtype=np.int64)
-    part = _as_partition(groups, X.n)
-    contrib = score_contributions(X, y, getattr(fit, "groups", None), fit.coefficients,
-                                  fit.re_sd, getattr(fit, "quad_nodes", DEFAULT_QUAD_NODES))
-    out = np.zeros((part.group_count, contrib.shape[1]))
-    np.add.at(out, part.labels, contrib)
     return out
 
 

@@ -1,16 +1,18 @@
 """Undirected network container, generators, and community detection.
 
 Nodes are dense integer indices 0..n-1. Graphs are simple (no self loops,
-no parallel edges) and stored as sorted adjacency tuples, so every routine
-that consumes a Network is order-deterministic.
+no parallel edges) and stored as CSR arrays (`indptr`, `indices`) with each
+node's neighbours ascending, so every routine that consumes a Network is
+order-deterministic.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyNetworkError, GenerationError, InputError
 
@@ -69,12 +71,20 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Immutable simple undirected graph with precomputed components."""
+    """Immutable simple undirected graph in CSR form with its components.
+
+    Node i's neighbours are indices[indptr[i]:indptr[i + 1]], ascending;
+    component_id labels components 0..m-1 in order of their smallest node.
+    """
 
     n: int
-    adjacency: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
     component_id: np.ndarray
-    component_sizes: tuple
+
+    @cached_property
+    def component_sizes(self) -> tuple:
+        return tuple(np.bincount(self.component_id).tolist())
 
     @property
     def m(self) -> int:
@@ -83,92 +93,67 @@ class Network:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
 
     @cached_property
     def components(self) -> Partition:
         return Partition(self.component_id, self.m)
 
     @cached_property
-    def _flat(self):
-        """(owner, neighbor) arrays listing each directed adjacency entry once."""
-        owner = np.repeat(np.arange(self.n), self.degrees)
-        nbr = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.adjacency]) \
-            if self.n and owner.size else np.empty(0, dtype=np.int64)
-        return owner, nbr
-
-    @property
     def owner_flat(self) -> np.ndarray:
-        return self._flat[0]
+        """Owning node of each directed adjacency entry in `indices`."""
+        return np.repeat(np.arange(self.n), self.degrees)
 
     @property
     def nbr_flat(self) -> np.ndarray:
-        return self._flat[1]
+        return self.indices
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Sorted neighbour tuples, one per node (a read-only view)."""
+        nbrs, ptr = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(nbrs[ptr[i]:ptr[i + 1]]) for i in range(self.n))
 
     @cached_property
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return self.indices.size // 2
 
     def edge_list(self) -> np.ndarray:
         """Edges as an (E, 2) array with u < v, sorted lexicographically."""
-        owner, nbr = self._flat
+        owner, nbr = self.owner_flat, self.indices
         keep = owner < nbr
         return np.column_stack([owner[keep], nbr[keep]])
-
-
-def neighbors(net: Network, i: int) -> tuple:
-    """Sorted neighbor indices of node i."""
-    if not 0 <= i < net.n:
-        raise InputError(f"node {i} out of range for network of size {net.n}")
-    return net.adjacency[i]
 
 
 def build_network(n_nodes: int, edges) -> Network:
     """Build a Network from an edge list.
 
-    Duplicate edges (either orientation) collapse to one. Self loops and
-    out-of-range endpoints raise InputError.
+    Duplicate edges (either orientation) collapse to one. The first self
+    loop or out-of-range endpoint, in input order, raises InputError.
     """
     if n_nodes < 0:
         raise InputError("n_nodes must be nonnegative")
-    seen = set()
-    adj = [[] for _ in range(n_nodes)]
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise InputError(f"self loop at node {u}")
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise InputError(f"edge ({u}, {v}) out of range for {n_nodes} nodes")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    component_id, sizes = _bfs_components(n_nodes, adjacency)
-    return Network(n_nodes, adjacency, component_id, tuple(sizes))
-
-
-def _bfs_components(n: int, adjacency) -> tuple:
-    comp = np.full(n, -1, dtype=np.int64)
-    sizes = []
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        label = len(sizes)
-        comp[start] = label
-        size = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if comp[v] < 0:
-                    comp[v] = label
-                    size += 1
-                    queue.append(v)
-        sizes.append(size)
-    return comp, sizes
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    u, v = e[:, 0], e[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= n_nodes)
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = int(u[k]), int(v[k])
+        if a == b:
+            raise InputError(f"self loop at node {a}")
+        raise InputError(f"edge ({a}, {b}) out of range for {n_nodes} nodes")
+    keys = np.unique(lo * n_nodes + hi)
+    lo, hi = np.divmod(keys, n_nodes)
+    # both directions, ordered by (owner, neighbour)
+    owner, indices = np.divmod(np.sort(np.concatenate([keys, hi * n_nodes + lo])), n_nodes)
+    indptr = np.searchsorted(owner, np.arange(n_nodes + 1))
+    graph = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                       shape=(n_nodes, n_nodes))
+    _, labels = connected_components(graph, directed=False)
+    return Network(n_nodes, indptr, indices, labels.astype(np.int64))
 
 
 def remove_isolates(net: Network, data=None):
@@ -184,9 +169,7 @@ def remove_isolates(net: Network, data=None):
         return net, data
     relabel = np.full(net.n, -1, dtype=np.int64)
     relabel[keep] = np.arange(keep.size)
-    adjacency = tuple(tuple(int(relabel[v]) for v in net.adjacency[i]) for i in keep)
-    component_id, sizes = _bfs_components(keep.size, adjacency)
-    sub = Network(keep.size, adjacency, component_id, tuple(sizes))
+    sub = build_network(keep.size, relabel[net.edge_list()])
     if data is not None:
         data = data.subset(keep)
     return sub, data

@@ -38,6 +38,11 @@ from .netgraph import (
 FAILURE_WARN_FRACTION = 0.05
 
 
+def hash_config(cfg: dict) -> str:
+    """sha256 of the sorted-key JSON of a config; manifests record it."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class RegularNetworkSpec:
     """m disjoint degree-regular components, Poisson-sized."""
@@ -147,8 +152,7 @@ class Scenario:
         return cls(network=network, **d)
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hash_config(self.to_dict())
 
 
 @dataclass

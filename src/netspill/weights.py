@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import glm
-from .errors import InputError, PositivityError
+from .errors import InputError
 
 POSITIVITY_FLOOR = 1e-300
 LOG_POSITIVITY_FLOOR = np.log(POSITIVITY_FLOOR)
@@ -58,11 +58,6 @@ def pi_own(a: int, alloc) -> float:
     return alpha if a == 1 else 1.0 - alpha
 
 
-def pi_joint(a: int, treated_count: int, degree: int, alloc) -> float:
-    """Joint policy probability of own exposure and the neighbor pattern."""
-    return pi_own(a, alloc) * pi_neighbors(treated_count, degree, alloc)
-
-
 def log_pi_neighbors(treated_counts, degrees, alloc) -> np.ndarray:
     alpha = as_allocation(alloc).alpha
     s = np.asarray(treated_counts, dtype=float)
@@ -86,15 +81,9 @@ def neighborhood_layout(net):
     hit = _layout_cache.get(net)
     if hit is not None:
         return hit
-    sizes = net.degrees + 1
-    total = int(sizes.sum())
-    owner = np.repeat(np.arange(net.n), sizes)
-    member = np.empty(total, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    member[starts] = np.arange(net.n)
-    mask = np.ones(total, dtype=bool)
-    mask[starts] = False
-    member[mask] = net.nbr_flat
+    owner = np.repeat(np.arange(net.n), net.degrees + 1)
+    # each node first, then its neighbours
+    member = np.insert(net.indices, net.indptr[:-1], np.arange(net.n))
     layout = glm.GroupLayout(owner, net.n)
     pair = (layout, member[layout.order])
     _layout_cache[net] = pair
@@ -152,18 +141,6 @@ def log_propensity_density_gradient(net, A, design, fit, quad_nodes=None) -> np.
     return np.column_stack([d_beta, post.b2_bar() / (sigma * sigma) - 1.0])
 
 
-def propensity_density(net, i, A, design, fit, quad_nodes=None) -> float:
-    """Density of node i's observed (own, neighbor) exposure pattern."""
-    if not 0 <= i < net.n:
-        raise InputError(f"node {i} out of range")
-    logf = log_propensity_density_all(net, A, design, fit, quad_nodes)
-    val = float(np.exp(logf[i]))
-    if val <= POSITIVITY_FLOOR:
-        raise PositivityError(
-            f"exposure-pattern density underflow at node {i}", node=i)
-    return val
-
-
 # ---------------------------------------------------------------------------
 # censoring survival
 
@@ -179,16 +156,6 @@ def censoring_survival_all(design, fit) -> np.ndarray:
         # group_modes is indexed by group label (labels are contiguous)
         lp = lp + np.asarray(fit.group_modes, dtype=float)[fit.groups.labels]
     return expit(-lp)
-
-
-def censoring_survival(fit, design_row, group: int = None) -> float:
-    row = np.asarray(design_row, dtype=float)
-    lp = float(row @ np.asarray(fit.coefficients, dtype=float))
-    if getattr(fit, "re_sd", 0.0) > 0.0:
-        if group is None:
-            raise InputError("mixed censoring fit needs the node's group")
-        lp += float(fit.group_modes[group])
-    return float(expit(-lp))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TestWeightNormalization:
                             for s in range(d + 1))
                 assert total == pytest.approx(1.0, abs=1e-12), (d, alpha)
                 joint = sum(
-                    wt.pi_joint(a, s, d, alpha) * math.comb(d, s)
+                    wt.pi_own(a, alpha) * wt.pi_neighbors(s, d, alpha) * math.comb(d, s)
                     for a in (0, 1) for s in range(d + 1))
                 assert joint == pytest.approx(1.0, abs=1e-12), (d, alpha)
 

@@ -5,7 +5,7 @@ from scipy.special import expit, logsumexp
 
 from netspill import glm, sim
 from netspill.errors import ConvergenceError, InputError
-from netspill.netgraph import Partition
+from netspill.netgraph import Partition, generate_regular_components
 
 
 def brute_marginal_loglik(X, y, groups, beta, sigma, n_grid=201, half_width=8.0):
@@ -180,11 +180,34 @@ class TestFitMixedLogistic:
         assert fit.converged
         assert fit.gradient_norm <= glm.GLMM_GRADIENT_TOL
 
+    def test_sd_collapse_keeps_separation_flag(self):
+        # exposure equal to a binary covariate on 40 regular components:
+        # the fixed-effects start separates (|beta| ~ 52) and the sd
+        # collapses, so the returned fit is the fixed-effects one
+        rng = np.random.default_rng(0)
+        net = generate_regular_components(40, 6, 3, rng)
+        z = rng.integers(0, 2, net.n)
+        X = np.column_stack([np.ones(net.n), z.astype(float)])
+        with pytest.warns(UserWarning, match="separation"):
+            fit = glm.fit_mixed_logistic(X, z, net.components)
+        assert fit.re_sd == 0.0
+        assert np.max(np.abs(fit.fixed_coefficients)) > glm.SEPARATION_COEF
+        assert fit.separation_warning
+
     def test_accepts_partition_object(self):
         X, y, groups = make_grouped_data(24, n_groups=10, group_size=6)
         f1 = glm.fit_mixed_logistic(X, y, groups)
         f2 = glm.fit_mixed_logistic(X, y, Partition.from_labels(groups))
         np.testing.assert_allclose(f1.fixed_coefficients, f2.fixed_coefficients)
+
+
+def group_score_sums(fit, X, y, labels):
+    """Per-group sums of the fit's observation-level score rows."""
+    contrib = glm.score_contributions(X, y, getattr(fit, "groups", None),
+                                      fit.coefficients, fit.re_sd)
+    out = np.zeros((int(np.max(labels)) + 1, contrib.shape[1]))
+    np.add.at(out, labels, contrib)
+    return out
 
 
 class TestScores:
@@ -194,7 +217,7 @@ class TestScores:
         y = rng.integers(0, 2, 60)
         fit = glm.fit_logistic(X, y)
         groups = np.repeat(np.arange(12), 5)
-        scores = glm.per_group_score(fit, X, y, groups)
+        scores = group_score_sums(fit, X, y, groups)
         resid = y - expit(X @ fit.coefficients)
         for g in range(12):
             idx = np.flatnonzero(groups == g)
@@ -206,7 +229,7 @@ class TestScores:
         X, y, groups = make_grouped_data(32, n_groups=10, group_size=6, sigma=0.9)
         fit = glm.fit_mixed_logistic(X, y, groups)
         assert fit.re_sd > 0.0
-        scores = glm.per_group_score(fit, X, y)
+        scores = group_score_sums(fit, X, y, groups)
         # central differences of the per-group marginal loglik, done here
         # from scratch with the brute grid
         theta = np.concatenate([fit.fixed_coefficients, [np.log(fit.re_sd)]])
@@ -230,18 +253,8 @@ class TestScores:
     def test_mixed_scores_sum_to_zero_at_mle(self):
         X, y, groups = make_grouped_data(33, n_groups=25, group_size=8)
         fit = glm.fit_mixed_logistic(X, y, groups)
-        scores = glm.per_group_score(fit, X, y)
+        scores = group_score_sums(fit, X, y, groups)
         np.testing.assert_allclose(scores.sum(axis=0), 0.0, atol=1e-5)
-
-    def test_per_node_contributions_sum_to_group_scores(self):
-        X, y, groups = make_grouped_data(34, n_groups=12, group_size=7, sigma=0.9)
-        fit = glm.fit_mixed_logistic(X, y, groups)
-        assert fit.re_sd > 0.0
-        contrib = glm.score_contributions(X, y, groups, fit.fixed_coefficients, fit.re_sd)
-        group_scores = glm.per_group_score(fit, X, y)
-        summed = np.zeros_like(group_scores)
-        np.add.at(summed, groups, contrib)
-        np.testing.assert_allclose(summed, group_scores, atol=2e-5)
 
     def test_per_node_contributions_support_regrouping(self):
         X, y, groups = make_grouped_data(35, n_groups=8, group_size=8)
@@ -252,7 +265,7 @@ class TestScores:
         summed = np.zeros((32, contrib.shape[1]))
         np.add.at(summed, fine, contrib)
         # total score is invariant to the regrouping
-        total = glm.per_group_score(fit, X, y).sum(axis=0)
+        total = group_score_sums(fit, X, y, groups).sum(axis=0)
         np.testing.assert_allclose(summed.sum(axis=0), total, atol=1e-8)
 
     def test_score_contributions_match_fd(self):

@@ -1,5 +1,8 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netspill import netgraph as ng
 from netspill.errors import EmptyNetworkError, InputError
@@ -27,7 +30,93 @@ def modularity_oracle(net, labels):
     return q / two_m
 
 
+def reference_build(n, edges):
+    """Set-based dedupe, sorted adjacency tuples and BFS component labels:
+    the construction the CSR build replaced, kept as an oracle."""
+    seen = set()
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    adjacency = tuple(tuple(sorted(a)) for a in adj)
+    comp = [-1] * n
+    sizes = []
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        comp[start] = len(sizes)
+        size = 1
+        queue = deque([start])
+        while queue:
+            for v in adjacency[queue.popleft()]:
+                if comp[v] < 0:
+                    comp[v] = comp[start]
+                    size += 1
+                    queue.append(v)
+        sizes.append(size)
+    return adjacency, comp, tuple(sizes)
+
+
+@st.composite
+def edge_multisets(draw):
+    """(n, edges, as_array): random simple-graph edges with repeats in both
+    orientations, isolates, and node ids shuffled by a random permutation."""
+    n = draw(st.integers(0, 24))
+    edges = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 3 * n))):
+            u = draw(st.integers(0, n - 1))
+            edges.append((u, (u + draw(st.integers(1, n - 1))) % n))
+        repeats = draw(st.lists(st.tuples(st.integers(0, max(len(edges) - 1, 0)),
+                                          st.booleans()), max_size=len(edges)))
+        edges += [edges[k][::-1] if flip else edges[k] for k, flip in repeats]
+        perm = draw(st.permutations(range(n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return n, edges, draw(st.booleans())
+
+
+class TestBuildNetworkProperties:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(edge_multisets())
+    def test_matches_reference_construction(self, case):
+        n, edges, as_array = case
+        net = ng.build_network(n, np.array(edges, dtype=np.int64) if as_array else edges)
+        adjacency, comp, sizes = reference_build(n, edges)
+        assert net.adjacency == adjacency
+        assert net.component_id.tolist() == comp
+        assert net.component_sizes == sizes
+        assert net.degrees.tolist() == [len(a) for a in adjacency]
+        assert net.edge_list().tolist() == sorted(
+            [u, v] for u, nbrs in enumerate(adjacency) for v in nbrs if u < v)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(edge_multisets())
+    def test_remove_isolates_matches_reference(self, case):
+        n, edges, _ = case
+        net = ng.build_network(n, edges)
+        keep = [i for i in range(n) if net.adjacency[i]]
+        if not keep:
+            return
+        relabel = {old: new for new, old in enumerate(keep)}
+        sub, _ = ng.remove_isolates(net)
+        adjacency, comp, sizes = reference_build(
+            len(keep), [(relabel[u], relabel[v]) for u, v in edges])
+        assert sub.adjacency == adjacency
+        assert sub.component_id.tolist() == comp
+        assert sub.component_sizes == sizes
+
+
 class TestBuildNetwork:
+    def test_error_names_first_bad_edge(self):
+        with pytest.raises(InputError, match=r"edge \(0, 5\) out of range for 3 nodes"):
+            ng.build_network(3, [(0, 1), (0, 5), (2, 2)])
+        with pytest.raises(InputError, match="self loop at node 2"):
+            ng.build_network(3, [(0, 1), (2, 2), (0, 5)])
+
     def test_path_structure(self):
         net = path_network(4)
         assert net.n == 4

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from netspill import glm, variance as var
@@ -182,6 +183,38 @@ class TestSandwich:
         a_start = text.index("A") + 1
         first_row = np.array([float(v) for v in text[a_start].split()])
         np.testing.assert_array_equal(first_row, res.A[0])
+
+
+def target_estimates_and_ses(net, data, X, Xc, allocs):
+    pfit = glm.fit_mixed_logistic(X, data.A, net.components)
+    cfit = glm.fit_logistic(Xc, data.C)
+    res = var.sandwich(net, data, pfit, cfit, X, Xc, allocs)
+    return res.stack.values[res.stack.target_slice], res.target_ses()
+
+
+@pytest.fixture(scope="module")
+def relabel_study():
+    net, data, pfit, cfit, X, Xc = make_dataset(22, m=12)
+    assert pfit.re_sd > 0.0
+    return (net, data, X, Xc) + target_estimates_and_ses(net, data, X, Xc, ALLOCS)
+
+
+class TestRelabelInvariance:
+    # relabeling reorders every sum and the GLMM fit's path, so agreement is
+    # to rounding, not bit for bit (observed: within 2e-15 relative)
+    RTOL = 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(st.data())
+    def test_estimates_and_ses_invariant(self, relabel_study, hdata):
+        net, data, X, Xc, estimates, ses = relabel_study
+        perm = np.array(hdata.draw(st.permutations(range(net.n))))
+        old = np.argsort(perm)          # old[new label] = original node
+        pnet = ng.build_network(net.n, perm[net.edge_list()])
+        pdata = StudyData(A=data.A[old], Z=data.Z[old], C=data.C[old], Y=data.Y[old])
+        got_est, got_ses = target_estimates_and_ses(pnet, pdata, X[old], Xc[old], ALLOCS)
+        np.testing.assert_allclose(got_est, estimates, rtol=self.RTOL)
+        np.testing.assert_allclose(got_ses, ses, rtol=self.RTOL)
 
 
 class TestKnownWeights:

@@ -6,7 +6,7 @@ from scipy.special import expit
 
 from netspill import glm, weights as wt
 from netspill.errors import InputError, PositivityError
-from netspill.estimator import StudyData
+from netspill.estimator import StudyData, target_terms
 from netspill.netgraph import Partition, build_network
 
 
@@ -34,8 +34,9 @@ class TestPolicyWeights:
         assert wt.pi_neighbors(2, 3, 0.5) == pytest.approx(0.125)
 
     def test_joint_factorizes(self):
+        # the marginal target's log numerator: own exposure plus neighbors
         for a in (0, 1):
-            got = wt.pi_joint(a, 2, 4, 0.3)
+            got = np.exp(np.log(wt.pi_own(a, 0.3)) + wt.log_pi_neighbors([2], [4], 0.3)[0])
             assert got == pytest.approx(wt.pi_own(a, 0.3) * wt.pi_neighbors(2, 4, 0.3))
 
     def test_degree_zero_neighbor_weight_is_one(self):
@@ -91,7 +92,7 @@ class TestPropensityDensity:
             for pattern in itertools.product((0, 1), repeat=len(members)):
                 A = np.zeros(5, dtype=np.int64)
                 A[list(members)] = pattern
-                total += wt.propensity_density(net, i, A, X, fit)
+                total += np.exp(wt.log_propensity_density_all(net, A, X, fit)[i])
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_monte_carlo(self):
@@ -110,7 +111,7 @@ class TestPropensityDensity:
                        == (A[members] == 1)[None, :], axis=1)
         mc = match.mean()
         mc_se = match.std(ddof=1) / np.sqrt(draws)
-        got = wt.propensity_density(net, i, A, X, fit)
+        got = np.exp(wt.log_propensity_density_all(net, A, X, fit)[i])
         assert abs(got - mc) < 3 * mc_se
 
     def test_neighbor_order_invariance(self):
@@ -153,13 +154,6 @@ class TestPropensityDensity:
                 fd = (logf[0] - logf[1]) / (2 * h)
                 np.testing.assert_allclose(grad[:, j], fd, rtol=0, atol=1e-8)
 
-    def test_out_of_range_node_rejected(self):
-        net = self.star_network()
-        X = np.ones((5, 1))
-        fit = make_mixed_fit([0.0], 0.0)
-        with pytest.raises(InputError):
-            wt.propensity_density(net, 9, np.zeros(5, dtype=int), X, fit)
-
     def test_underflow_raises_positivity(self):
         # a 60-star with extreme coefficients drives the observed all-ones
         # pattern below the floor
@@ -167,9 +161,11 @@ class TestPropensityDensity:
         net = build_network(n, [(0, j) for j in range(1, n)])
         X = np.ones((n, 1))
         fit = make_mixed_fit([-20.0], 0.0)
-        A = np.ones(n, dtype=np.int64)
+        data = StudyData(A=np.ones(n, dtype=np.int64), Z=np.zeros((n, 1)),
+                         C=np.zeros(n, dtype=np.int64), Y=np.ones(n))
+        logf = wt.log_propensity_density_all(net, data.A, X, fit)
         with pytest.raises(PositivityError) as exc:
-            wt.propensity_density(net, 0, A, X, fit)
+            target_terms(net, data, logf, np.zeros(n), [0.5])
         assert exc.value.node == 0
 
 
@@ -190,13 +186,6 @@ class TestCensoringSurvival:
         s = wt.censoring_survival_all(X, fit)
         np.testing.assert_allclose(
             s, expit(-(np.array([0.5, 0.5, 0.5]) + np.array([0.3, 0.3, -0.2]))))
-
-    def test_scalar_variant_needs_group_for_mixed(self):
-        fit = make_mixed_fit([0.5], 0.4, n_groups=1)
-        with pytest.raises(InputError):
-            wt.censoring_survival(fit, [1.0])
-        assert wt.censoring_survival(fit, [1.0], group=0) == pytest.approx(
-            expit(-0.5))
 
 
 @pytest.mark.filterwarnings("ignore:possible separation")
