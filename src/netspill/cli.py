@@ -90,7 +90,7 @@ def cli():
 @click.option("--keep-isolates", is_flag=True,
               help="Keep degree-zero nodes instead of dropping them.")
 @click.option("--weight-threshold", default=wt.DEFAULT_WEIGHT_THRESHOLD,
-              show_default=True, type=float)
+              show_default=True, type=click.FloatRange(min=0.0, min_open=True))
 @click.option("--quad-nodes", default=glm.DEFAULT_QUAD_NODES, show_default=True, type=int)
 @click.option("--dump-matrices", is_flag=True,
               help="Also write the sandwich A/B/sigma at full precision.")
@@ -126,10 +126,11 @@ def cmd_estimate(edges, nodes, alloc, censoring, keep_isolates, weight_threshold
         cfit = glm.fit_mixed_logistic(cens_design, data.C, net.components,
                                       quad_nodes=quad_nodes)
 
-    report = wt.weight_diagnostics(net, data, pfit, cfit, prop_design, cens_design,
-                                   threshold=weight_threshold, quad_nodes=quad_nodes)
-    res = variance.sandwich(net, data, pfit, cfit, prop_design, cens_design,
-                            allocs, quad_nodes=quad_nodes)
+    ctx = variance.build_context(net, data, pfit, cfit, prop_design, cens_design, allocs,
+                                 quad_nodes=quad_nodes)
+    s = wt.censoring_survival_all(cens_design, cfit)
+    report = wt.weight_diagnostics(data, ctx.logf, s, weight_threshold)
+    res = variance.sandwich_from_context(ctx)
     estimates = {k: float(v) for k, v in
                  zip(res.stack.target_keys,
                      res.stack.values[res.stack.target_slice])}

@@ -8,17 +8,20 @@ Two fitters live here:
   shared random intercept per group. The marginal likelihood integrates
   the intercept out with adaptive Gauss-Hermite quadrature (mode centered,
   curvature scaled), and the outer optimization over (beta, log sd) is
-  quasi-Newton with a damped-Newton polish, on the Louis information,
-  down to a gradient-norm tolerance.
+  quasi-Newton from one start, then a damped-Newton polish on the Louis
+  information, down to a gradient-norm tolerance.
 
 Every quadrature evaluation goes through one kernel,
 grouped_posterior_bundle, which returns the posterior of each group's
 intercept on the rule's abscissae. Derivatives are analytic and all come
 from that posterior: scores by the Fisher identity (E of the complete-data
-score) and the observed information by the Louis identity
-(E[-complete-data Hessian] - Var[complete-data score]; Louis 1982). The
-same kernel serves the neighborhood-exposure density integrals, which
-have the same "product of Bernoullis with a fresh shared intercept" shape.
+score), the observed information by the Louis identity
+(E[-complete-data Hessian] - Var[complete-data score]; Louis 1982) and the
+Jacobian of the posterior modes by implicit differentiation, so a caller
+that needs all three at one parameter value evaluates one posterior
+(posterior_at). The same kernel serves the neighborhood-exposure density
+integrals, which have the same "product of Bernoullis with a fresh shared
+intercept" shape.
 """
 from __future__ import annotations
 
@@ -130,7 +133,7 @@ class MixedLogisticFit:
     gradient_norm: float
     groups: Partition
     quad_nodes: int
-    separation_warning: bool = False   # the sd-0 fallback keeps its base fit's flag
+    separation_warning: bool = False
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -225,6 +228,12 @@ class GroupLayout:
     def sort(self, a):
         return np.asarray(a)[self.order]
 
+    def unsort(self, a):
+        """Entry rows in layout order back to input order."""
+        out = np.empty_like(a)
+        out[self.order] = a
+        return out
+
     def group_sum(self, a):
         return np.add.reduceat(a, self.starts, axis=0)
 
@@ -256,11 +265,12 @@ def _group_modes(layout: GroupLayout, lp0, y, sigma: float, start=None):
 class GroupPosterior:
     """Quadrature posterior of each group's shared intercept.
 
-    `ell` holds the per-group marginal log-likelihoods, `modes` the
-    posterior modes that center the rule, `b` the (G, K) abscissae and
-    `post` their normalized posterior weights. Entry arrays are in layout
-    order. Entry-level expectations are formed on request, so a caller that
-    needs only `ell` holds no more than the log-likelihood temporaries.
+    `ell` holds the per-group marginal log-likelihoods, `modes` and `tau`
+    the posterior modes and curvature scales that center and scale the
+    rule, `b` the (G, K) abscissae and `post` their normalized posterior
+    weights. Entry arrays are in layout order. Entry-level expectations
+    are formed on request, so a caller that needs only `ell` holds no more
+    than the log-likelihood temporaries.
     """
 
     layout: GroupLayout
@@ -271,6 +281,7 @@ class GroupPosterior:
     post: np.ndarray
     ell: np.ndarray
     modes: np.ndarray
+    tau: np.ndarray
 
     def _prob(self):
         """p(b) of every entry at every abscissa, (N, K)."""
@@ -319,6 +330,20 @@ class GroupPosterior:
         info[P, P] += 2.0 * inv_s2 * float(np.sum(self.b2_bar()))
         return 0.5 * (info + info.T)
 
+    def mode_jacobian(self, Xs):
+        """d mode_g / d(beta..., log sd), one row per group.
+
+        Implicit differentiation of the mode equation
+        sum_j (y_j - p_j) - b/sd^2 = 0 gives
+        d b/d beta = -sum_j p_j(1 - p_j) x_j / H and d b/d log sd = 2 b/(sd^2 H),
+        where H = sum_j p_j(1 - p_j) + 1/sd^2 = 1/tau^2.
+        """
+        p = expit(self.lp0 + self.modes[self.layout.g])
+        tau2 = self.tau * self.tau
+        d_beta = -self.layout.group_sum(Xs * (p * (1.0 - p))[:, None]) * tau2[:, None]
+        d_logsd = 2.0 * self.modes * tau2 / (self.sigma * self.sigma)
+        return np.column_stack([d_beta, d_logsd])
+
 
 def grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes=DEFAULT_QUAD_NODES,
                              mode_start=None) -> GroupPosterior:
@@ -352,7 +377,7 @@ def grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes=DEFAULT_QUAD_NODE
     post = np.exp(L - norm[:, None])
     post /= post.sum(axis=1, keepdims=True)
     ell = norm + 0.5 * np.log(2.0) + np.log(tau)
-    return GroupPosterior(layout, lp0, y, sigma, b, post, ell, modes)
+    return GroupPosterior(layout, lp0, y, sigma, b, post, ell, modes, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +430,12 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
                        gtol: float = GLMM_GRADIENT_TOL) -> MixedLogisticFit:
     """ML fit of a logistic model with a shared N(0, sd^2) group intercept.
 
-    Starts from the fixed-effects fit with a small grid of sd starting
-    values, runs L-BFGS-B on (beta, log sd), then polishes with damped
-    Newton until the gradient norm is below `gtol`. If the sd collapses
-    to the boundary (or never improves on sd=0), the fixed-effects fit is
-    returned with re_sd=0.
+    Starts from the fixed-effects fit with sd 0.5, runs L-BFGS-B on
+    (beta, log sd), then polishes with damped Newton until the gradient
+    norm is below `gtol`. If the sd collapses to the boundary (or never
+    improves on sd=0), the fixed-effects fit is returned with re_sd=0.
+    Either way a fixed coefficient beyond 15 in absolute value sets
+    `separation_warning`, as in fit_logistic.
     """
     X = _as_design(X)
     _check_rank(X)
@@ -425,51 +451,41 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
     def fun(theta):
         return _neg_loglik_and_grad(posterior(theta), Xs)
 
-    best = None
-    used_iters = 0
-    for sd0 in (0.5, 0.25, 1.0):
-        theta0 = np.concatenate([base.coefficients, [np.log(sd0)]])
-        res = minimize(
-            fun, theta0, jac=True, method="L-BFGS-B",
-            bounds=[(None, None)] * X.p + [(_LOG_SD_FLOOR - 2.0, np.log(50.0))],
-            options={"maxiter": max_iter, "ftol": 1e-13, "gtol": 1e-10},
-        )
-        used_iters += res.nit
-        theta = res.x
-        # damped Newton polish with the Louis observed information
-        for _ in range(40):
-            post = posterior(theta)
-            nll, ng = _neg_loglik_and_grad(post, Xs)
-            gnorm = float(np.linalg.norm(ng))
-            if gnorm <= gtol or theta[-1] <= _LOG_SD_FLOOR:
-                break
-            H = post.information(Xs)
-            lam = 0.0
-            for _ in range(8):
-                try:
-                    step = np.linalg.solve(H + lam * np.eye(theta.size), -ng)
-                except np.linalg.LinAlgError:
-                    lam = max(1e-6, lam * 10.0)
-                    continue
-                cand = theta + step
-                # the quadrature's own noise in -loglik scales with its size
-                if fun(cand)[0] <= nll + 1e-12 * (1.0 + abs(nll)):
-                    theta = cand
-                    break
-                lam = max(1e-6, lam * 10.0)
-            else:
-                break
-            used_iters += 1
-        nll, ng = fun(theta)
-        cand = (float(-nll), theta, float(np.linalg.norm(ng)))
-        if best is None or cand[0] > best[0]:
-            best = cand
-        if best[2] <= gtol and best[0] >= base.log_likelihood - 1e-10:
+    theta0 = np.concatenate([base.coefficients, [np.log(0.5)]])
+    res = minimize(
+        fun, theta0, jac=True, method="L-BFGS-B",
+        bounds=[(None, None)] * X.p + [(_LOG_SD_FLOOR - 2.0, np.log(50.0))],
+        options={"maxiter": max_iter, "ftol": 1e-13, "gtol": 1e-10},
+    )
+    used_iters = res.nit
+    theta = res.x
+    # damped Newton polish with the Louis observed information
+    for _ in range(40):
+        post = posterior(theta)
+        nll, ng = _neg_loglik_and_grad(post, Xs)
+        gnorm = float(np.linalg.norm(ng))
+        if gnorm <= gtol or theta[-1] <= _LOG_SD_FLOOR:
             break
-        if theta[-1] <= _LOG_SD_FLOOR + 0.5:
-            break  # sd collapsed; more starts would only rediscover the boundary
+        H = post.information(Xs)
+        lam = 0.0
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(H + lam * np.eye(theta.size), -ng)
+            except np.linalg.LinAlgError:
+                lam = max(1e-6, lam * 10.0)
+                continue
+            cand = theta + step
+            # the quadrature's own noise in -loglik scales with its size
+            if fun(cand)[0] <= nll + 1e-12 * (1.0 + abs(nll)):
+                theta = cand
+                break
+            lam = max(1e-6, lam * 10.0)
+        else:
+            break
+        used_iters += 1
+    nll, ng = fun(theta)
+    ll, gnorm = float(-nll), float(np.linalg.norm(ng))
 
-    ll, theta, gnorm = best
     sigma = float(np.exp(theta[-1]))
     if sigma <= 1.5e-4 or ll <= base.log_likelihood + 1e-10:
         return _logistic_as_mixed(base, part, quad_nodes)
@@ -496,14 +512,24 @@ def fit_mixed_logistic(X, y, groups, quad_nodes: int = DEFAULT_QUAD_NODES,
         gradient_norm=gnorm,
         groups=part,
         quad_nodes=quad_nodes,
+        separation_warning=bool(np.any(np.abs(theta[:-1]) > SEPARATION_COEF)),
     )
 
 
 # ---------------------------------------------------------------------------
 # scores and information
 
-def _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes):
-    """(layout, sorted design, quadrature posterior) at given parameters."""
+def posterior_at(X, y, groups, coefficients, re_sd,
+                 quad_nodes=DEFAULT_QUAD_NODES):
+    """(layout, design rows in layout order, quadrature posterior) of a
+    mixed model at given parameters.
+
+    One evaluation serves the score rows (GroupPosterior.score_rows), the
+    Louis information (information) and the Jacobian of the group modes
+    (mode_jacobian); `modes` is indexed by group label.
+    """
+    X = _as_design(X)
+    y = _check_response(y, X.n)
     part = _as_partition(groups, X.n)
     layout = GroupLayout(part.labels, part.group_count)
     Xs = layout.sort(X.values)
@@ -528,44 +554,8 @@ def score_contributions(X, y, groups, coefficients, re_sd,
     if re_sd == 0.0:
         p = expit(X.values @ np.asarray(coefficients, dtype=float))
         return X.values * (y - p)[:, None]
-    layout, Xs, post = _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes)
-    out = np.empty((X.n, X.p + 1))
-    out[layout.order] = post.score_rows(Xs)
-    return out
-
-
-def mixed_information(X, y, groups, coefficients, re_sd,
-                      quad_nodes=DEFAULT_QUAD_NODES) -> np.ndarray:
-    """Observed information of the marginal log-likelihood over
-    (beta..., log sd), by the Louis identity on the quadrature posterior."""
-    X = _as_design(X)
-    y = _check_response(y, X.n)
-    _, Xs, post = _posterior_at(X, y, groups, coefficients, re_sd, quad_nodes)
-    return post.information(Xs)
-
-
-def mixed_group_modes(X, y, groups, coefficients, re_sd):
-    """Posterior modes of the shared intercept and their parameter Jacobian.
-
-    Returns (modes, jac), both indexed by group label; jac[g] is
-    d b_g / d(beta..., log sd), by implicit differentiation of the mode
-    equation sum_j (y_j - p_j) - b/sd^2 = 0:
-    d b/d beta = -sum_j p_j(1 - p_j) x_j / H and d b/d log sd = 2 b/(sd^2 H),
-    where H = sum_j p_j(1 - p_j) + 1/sd^2 = 1/tau^2.
-    """
-    X = _as_design(X)
-    y = _check_response(y, X.n)
-    part = _as_partition(groups, X.n)
-    layout = GroupLayout(part.labels, part.group_count)
-    Xs = layout.sort(X.values)
-    sigma = float(re_sd)
-    lp0 = Xs @ np.asarray(coefficients, dtype=float)
-    modes, tau = _group_modes(layout, lp0, layout.sort(y), sigma)
-    p = expit(lp0 + modes[layout.g])
-    tau2 = tau * tau
-    d_beta = -layout.group_sum(Xs * (p * (1.0 - p))[:, None]) * tau2[:, None]
-    d_logsd = 2.0 * modes * tau2 / (sigma * sigma)
-    return modes, np.column_stack([d_beta, d_logsd])
+    layout, Xs, post = posterior_at(X, y, groups, coefficients, re_sd, quad_nodes)
+    return layout.unsort(post.score_rows(Xs))
 
 
 def logistic_information(X, coefficients) -> np.ndarray:

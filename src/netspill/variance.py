@@ -20,9 +20,14 @@ and the Louis identity on the quadrature posterior for mixed fits. The
 target-vs-model blocks are -d Yhat_t / d(param), from the Fisher-identity
 gradient of each closed-neighborhood log density and the derivative of
 each censoring linear predictor, which for a mixed fit passes through the
-group's posterior mode by implicit differentiation. component_psi at
-arbitrary stack values recomputes every piece, so finite differences of
-it check A from outside.
+group's posterior mode by implicit differentiation.
+
+build_context evaluates each quadrature posterior once: one per mixed
+model (score rows, Louis information and mode Jacobian together) and one
+over the closed neighborhoods (log densities and their gradients
+together). component_psi, compute_A and compute_B read the stored arrays.
+component_psi at arbitrary stack values recomputes every piece, so finite
+differences of it check A from outside.
 """
 from __future__ import annotations
 
@@ -117,7 +122,13 @@ def contrast_se(sigma: np.ndarray, i: int, j: int) -> float:
 # context
 
 class _ModelBlock:
-    """One fitted model's contribution to the stack (params + scores)."""
+    """One fitted model's contribution to the stack.
+
+    Holds the stacked parameters and, from one evaluation at the fit, the
+    observation-level score rows, the observed information and the
+    gradient of each node's linear predictor. A mixed fit's three come
+    from one quadrature posterior (glm.posterior_at).
+    """
 
     def __init__(self, tag, fit, design, y):
         self.tag = tag
@@ -126,12 +137,26 @@ class _ModelBlock:
         self.y = np.asarray(y)
         self.mixed = getattr(fit, "re_sd", 0.0) > 0.0
         coefs = np.asarray(fit.coefficients, dtype=float)
-        if self.mixed:
-            self.params = np.concatenate([coefs, [np.log(fit.re_sd)]])
-            self.names = tuple(f"{tag}:{c}" for c in fit.column_names) + (f"{tag}:log_re_sd",)
-        else:
+        X = self.design.values
+        if not self.mixed:
             self.params = coefs.copy()
             self.names = tuple(f"{tag}:{c}" for c in fit.column_names)
+            self.score_rows = glm.score_contributions(self.design, self.y, None, coefs, 0.0)
+            self.information = glm.logistic_information(self.design, coefs)
+            self.lp_gradient = X
+            return
+        self.params = np.concatenate([coefs, [np.log(fit.re_sd)]])
+        self.names = tuple(f"{tag}:{c}" for c in fit.column_names) + (f"{tag}:log_re_sd",)
+        # at exp(log sd), the sd the stacked parameter carries, not fit.re_sd
+        _, sd = self.split(self.params)
+        layout, Xs, post = glm.posterior_at(self.design, self.y, fit.groups, coefs, sd,
+                                            fit.quad_nodes)
+        self.score_rows = layout.unsort(post.score_rows(Xs))
+        self.information = post.information(Xs)
+        # d(linear predictor)/d params per node; the predictor includes the
+        # group's posterior mode
+        self.lp_gradient = post.mode_jacobian(Xs)[fit.groups.labels]
+        self.lp_gradient[:, :-1] += X
 
     def split(self, params):
         """(coefficients, re_sd) from a stacked parameter segment."""
@@ -143,34 +168,17 @@ class _ModelBlock:
         """Score rows per variance group, at the fit or at given params.
 
         Observation-level score rows (analytic, Fisher identity for mixed
-        fits) summed within each group, so any partition works.
+        fits) summed within each group, so any partition works. Given
+        params, the rows are recomputed there.
         """
-        coefs, sd = self.split(self.params if params is None else np.asarray(params, dtype=float))
-        contrib = glm.score_contributions(
-            self.design, self.y, getattr(self.fit, "groups", None), coefs, sd,
-            getattr(self.fit, "quad_nodes", glm.DEFAULT_QUAD_NODES))
+        contrib = self.score_rows
+        if params is not None:
+            coefs, sd = self.split(np.asarray(params, dtype=float))
+            contrib = glm.score_contributions(
+                self.design, self.y, getattr(self.fit, "groups", None), coefs, sd,
+                getattr(self.fit, "quad_nodes", glm.DEFAULT_QUAD_NODES))
         out = np.zeros((groups.group_count, contrib.shape[1]))
         np.add.at(out, groups.labels, contrib)
-        return out
-
-    def information(self) -> np.ndarray:
-        """Observed information (negative Hessian) of the marginal loglik."""
-        if not self.mixed:
-            return glm.logistic_information(self.design, self.params)
-        coefs, sd = self.split(self.params)
-        return glm.mixed_information(self.design, self.y, self.fit.groups, coefs, sd,
-                                     self.fit.quad_nodes)
-
-    def lp_gradient(self) -> np.ndarray:
-        """d(linear predictor)/d params per node at the fit; for mixed fits
-        the predictor includes the group's posterior mode."""
-        X = self.design.values
-        if not self.mixed:
-            return X
-        coefs, sd = self.split(self.params)
-        _, jac = glm.mixed_group_modes(self.design, self.y, self.fit.groups, coefs, sd)
-        out = jac[self.fit.groups.labels]
-        out[:, :-1] += X
         return out
 
 
@@ -197,7 +205,7 @@ class _Context:
         self.prop = _ModelBlock("prop", pfit, prop_design, data.A)
         self.cens = _ModelBlock("cens", cfit, cens_design, data.C)
 
-        self.logf = wt.log_propensity_density_all(
+        self.logf, self.dlogf = wt.log_propensity_density_and_gradient(
             net, data.A, self.prop.design, pfit, quad_nodes)
         with np.errstate(divide="ignore"):
             self.logs = np.log(wt.censoring_survival_all(self.cens.design, cfit))
@@ -230,9 +238,9 @@ class _Context:
         coefs, sd = self.cens.split(np.asarray(eta, dtype=float))
         lp = self.cens.design.values @ coefs
         if sd > 0.0:
-            modes, _ = glm.mixed_group_modes(
-                self.cens.design, self.data.C, self.cens.fit.groups, coefs, sd)
-            lp = lp + modes[self.cens.fit.groups.labels]
+            _, _, post = glm.posterior_at(self.cens.design, self.data.C, self.cens.fit.groups,
+                                          coefs, sd, self.cens.fit.quad_nodes)
+            lp = lp + post.modes[self.cens.fit.groups.labels]
         with np.errstate(divide="ignore"):
             return np.log(expit(-lp))
 
@@ -293,13 +301,11 @@ def compute_A(ctx: _Context) -> np.ndarray:
     A = np.zeros((P, P))
     scale = 1.0 / (ctx.m * ctx.k_hat)
     gs, es, ts = stack.gamma_slice, stack.eta_slice, stack.target_slice
-    A[gs, gs] = ctx.prop.information() * scale
-    A[es, es] = ctx.cens.information() * scale
-    dlogf = wt.log_propensity_density_gradient(
-        ctx.net, ctx.data.A, ctx.prop.design, ctx.prop.fit, ctx.quad_nodes)
-    A[ts, gs] = ctx.T.T @ dlogf * scale
+    A[gs, gs] = ctx.prop.information * scale
+    A[es, es] = ctx.cens.information * scale
+    A[ts, gs] = ctx.T.T @ ctx.dlogf * scale
     q = -np.expm1(ctx.logs)
-    A[ts, es] = -(ctx.T * q[:, None]).T @ ctx.cens.lp_gradient() * scale
+    A[ts, es] = -(ctx.T * q[:, None]).T @ ctx.cens.lp_gradient * scale
     A[ts, ts] = np.eye(len(ctx.keys))
     return A
 

@@ -39,25 +39,6 @@ def as_allocation(a) -> Allocation:
     return a if isinstance(a, Allocation) else Allocation(a)
 
 
-def pi_neighbors(treated_count: int, degree: int, alloc) -> float:
-    """P(exact neighbor exposure pattern with `treated_count` ones).
-
-    No binomial coefficient: this weights one specific pattern. Degree-zero
-    nodes return 1 (empty product).
-    """
-    alpha = as_allocation(alloc).alpha
-    if degree < 0 or not 0 <= treated_count <= degree:
-        raise InputError("need 0 <= treated_count <= degree")
-    return float(alpha ** treated_count * (1.0 - alpha) ** (degree - treated_count))
-
-
-def pi_own(a: int, alloc) -> float:
-    alpha = as_allocation(alloc).alpha
-    if a not in (0, 1):
-        raise InputError("exposure must be 0 or 1")
-    return alpha if a == 1 else 1.0 - alpha
-
-
 def log_pi_neighbors(treated_counts, degrees, alloc) -> np.ndarray:
     alpha = as_allocation(alloc).alpha
     s = np.asarray(treated_counts, dtype=float)
@@ -90,13 +71,26 @@ def neighborhood_layout(net):
     return pair
 
 
-def _neighborhood_terms(net, A, design, beta):
-    """(layout, member, linear predictor, exposure) of every closed-
-    neighborhood entry, in layout order."""
+def _neighborhood_density(net, A, design, fit, quad_nodes, beta, sigma):
+    """Preamble shared by the density functions.
+
+    Returns (log f per node, linear predictor and exposure of every
+    closed-neighborhood entry in layout order, posterior); the posterior is
+    None when sigma is 0.
+    """
+    design = glm._as_design(design)
     if design.n != net.n:
         raise InputError("propensity design must have one row per node")
+    if quad_nodes is None:
+        quad_nodes = getattr(fit, "quad_nodes", glm.DEFAULT_QUAD_NODES)
     layout, member = neighborhood_layout(net)
-    return layout, member, (design.values @ beta)[member], np.asarray(A)[member].astype(float)
+    lp0 = (design.values @ beta)[member]
+    y = np.asarray(A)[member].astype(float)
+    if sigma == 0.0:
+        logf = layout.group_sum(y * lp0 - np.logaddexp(0.0, lp0))
+        return logf, lp0, y, None
+    post = glm.grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes)
+    return post.ell, lp0, y, post
 
 
 def log_propensity_density_all(net, A, design, fit, quad_nodes=None, *,
@@ -110,35 +104,26 @@ def log_propensity_density_all(net, A, design, fit, quad_nodes=None, *,
     """
     beta = np.asarray(fit.coefficients if coefficients is None else coefficients, dtype=float)
     sigma = float(fit.re_sd if re_sd is None else re_sd)
-    if quad_nodes is None:
-        quad_nodes = getattr(fit, "quad_nodes", glm.DEFAULT_QUAD_NODES)
-    design = glm._as_design(design)
-    layout, _, lp0, y = _neighborhood_terms(net, A, design, beta)
-    if sigma == 0.0:
-        terms = y * lp0 - np.logaddexp(0.0, lp0)
-        return layout.group_sum(terms)
-    return glm.grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes).ell
+    return _neighborhood_density(net, A, design, fit, quad_nodes, beta, sigma)[0]
 
 
-def log_propensity_density_gradient(net, A, design, fit, quad_nodes=None) -> np.ndarray:
-    """d log f_i / d(coefficients..., log re_sd) at the fit, one row per node.
+def log_propensity_density_and_gradient(net, A, design, fit, quad_nodes=None):
+    """(log f_i, d log f_i / d(coefficients..., log re_sd)) at the fit, from
+    one quadrature posterior per closed neighborhood.
 
-    By the Fisher identity on each closed neighborhood's posterior:
+    The gradient is the Fisher identity on each neighborhood's posterior:
     d/d beta = sum_{j in N_i} x_j E[A_j - p_j(b)] and
     d/d log sd = E[b^2]/sd^2 - 1. Fixed-effects fits have no log-sd column.
     """
     beta = np.asarray(fit.coefficients, dtype=float)
     sigma = float(fit.re_sd)
-    if quad_nodes is None:
-        quad_nodes = getattr(fit, "quad_nodes", glm.DEFAULT_QUAD_NODES)
-    design = glm._as_design(design)
-    layout, member, lp0, y = _neighborhood_terms(net, A, design, beta)
-    X = design.values[member]
-    if sigma == 0.0:
-        return layout.group_sum(X * (y - expit(lp0))[:, None])
-    post = glm.grouped_posterior_bundle(layout, lp0, y, sigma, quad_nodes)
+    logf, lp0, y, post = _neighborhood_density(net, A, design, fit, quad_nodes, beta, sigma)
+    layout, member = neighborhood_layout(net)
+    X = glm._as_design(design).values[member]
+    if post is None:
+        return logf, layout.group_sum(X * (y - expit(lp0))[:, None])
     d_beta = layout.group_sum(X * post.resid_bar()[:, None])
-    return np.column_stack([d_beta, post.b2_bar() / (sigma * sigma) - 1.0])
+    return logf, np.column_stack([d_beta, post.b2_bar() / (sigma * sigma) - 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +166,19 @@ class WeightReport:
         return out
 
 
-def weight_diagnostics(net, data, pfit, cfit, prop_design, cens_design,
-                       threshold: float = DEFAULT_WEIGHT_THRESHOLD,
-                       quad_nodes=None) -> WeightReport:
-    """Per-node inverse-probability weight report.
+def weight_diagnostics(data, logf, s,
+                       threshold: float = DEFAULT_WEIGHT_THRESHOLD) -> WeightReport:
+    """Per-node inverse-probability weight report from log f and s.
 
+    `logf` is each node's log neighborhood-exposure density (the variance
+    context's `logf`) and `s` its censoring survival probability
+    (censoring_survival_all).
     The reported weight is the denominator multiplier 1/(f_i * s_i); any
     uncensored node with f*s < 1/threshold is flagged. Flags warn but never
     truncate: large weights flow into estimates unchanged.
     """
     if threshold <= 0:
         raise InputError("weight threshold must be positive")
-    logf = log_propensity_density_all(net, data.A, prop_design, pfit, quad_nodes)
-    s = censoring_survival_all(cens_design, cfit)
     f = np.exp(logf)
     w = np.where(data.C == 0, 1.0 / (f * s), np.nan)
     flagged = (data.C == 0) & (f * s < 1.0 / threshold)

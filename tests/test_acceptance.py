@@ -87,12 +87,13 @@ class TestWeightNormalization:
 
     def test_policy_weights_normalize_up_to_degree_12(self):
         for d in range(13):
+            counts = np.arange(d + 1)
             for alpha in (0.25, 0.5, 0.75):
-                total = sum(math.comb(d, s) * wt.pi_neighbors(s, d, alpha)
-                            for s in range(d + 1))
+                pi_nb = np.exp(wt.log_pi_neighbors(counts, np.full(d + 1, d), alpha))
+                total = sum(math.comb(d, s) * pi_nb[s] for s in range(d + 1))
                 assert total == pytest.approx(1.0, abs=1e-12), (d, alpha)
                 joint = sum(
-                    wt.pi_own(a, alpha) * wt.pi_neighbors(s, d, alpha) * math.comb(d, s)
+                    (alpha if a == 1 else 1.0 - alpha) * pi_nb[s] * math.comb(d, s)
                     for a in (0, 1) for s in range(d + 1))
                 assert joint == pytest.approx(1.0, abs=1e-12), (d, alpha)
 

@@ -38,6 +38,23 @@ def study_files(tmp_path):
     return str(edges), str(nodes)
 
 
+def write_study(tmp_path, n, edges, seed=1):
+    """Study CSVs on nodes n0..n{n-1}: exposure, covariate and outcome
+    Bernoulli(0.5), censoring Bernoulli(0.2)."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 2, n)
+    Z = rng.integers(0, 2, n)
+    C = (rng.random(n) < 0.2).astype(int)
+    Y = rng.integers(0, 2, n)
+    edges_path, nodes_path = tmp_path / "edges.csv", tmp_path / "nodes.csv"
+    io.write_csv_atomic(str(edges_path), ("src", "dst"),
+                        [(f"n{u}", f"n{v}") for u, v in edges])
+    io.write_csv_atomic(str(nodes_path), ("id", "A", "C", "Y", "Z_1"),
+                        [(f"n{i}", int(A[i]), int(C[i]), "" if C[i] else int(Y[i]), int(Z[i]))
+                         for i in range(n)])
+    return str(edges_path), str(nodes_path)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -78,6 +95,27 @@ class TestEstimate:
         assert run_cli(["estimate", "--edges", str(edges), "--nodes", str(nodes),
                         "--quad-nodes", "10", "--out", str(tmp_path / "out")]) == 2
 
+    def test_single_component_exits_3(self, tmp_path, capsys):
+        edges, nodes = write_study(tmp_path, 30, [(k, k + 1) for k in range(29)])
+        out = tmp_path / "out"
+        assert run_cli(["estimate", "--edges", edges, "--nodes", nodes,
+                        "--out", str(out)]) == 3
+        assert "sandwich variance needs at least two groups" in capsys.readouterr().err
+        assert not (out / "effects.csv").exists()
+        assert not (out / "weights.csv").exists()
+
+    def test_hub_underflow_exits_4(self, tmp_path, capsys):
+        # the closed neighborhood of a 1,100-leaf hub has density below 1e-300
+        hub = [(0, j) for j in range(1, 1101)]
+        paths = [(1101 + 10 * c + k, 1102 + 10 * c + k) for c in range(40) for k in range(9)]
+        edges, nodes = write_study(tmp_path, 1501, hub + paths)
+        out = tmp_path / "out"
+        assert run_cli(["estimate", "--edges", edges, "--nodes", nodes,
+                        "--out", str(out)]) == 4
+        assert "underflow at node 0" in capsys.readouterr().err
+        assert not (out / "effects.csv").exists()
+        assert not (out / "weights.csv").exists()
+
     def test_censored_nodes_have_blank_weight(self, study_files, tmp_path):
         edges, nodes = study_files
         out = str(tmp_path / "out")
@@ -107,6 +145,14 @@ class TestEstimate:
                         "--alloc", "0.5,oops"]) == 2
         assert run_cli(["estimate", "--edges", edges, "--nodes", nodes,
                         "--alloc", "1.5"]) == 2
+
+    def test_nonpositive_weight_threshold_exits_2(self, study_files, tmp_path):
+        # rejected as a usage error before any fit
+        edges, nodes = study_files
+        out = tmp_path / "out"
+        assert run_cli(["estimate", "--edges", edges, "--nodes", nodes,
+                        "--weight-threshold", "0", "--out", str(out)]) == 2
+        assert not (out / "effects.csv").exists()
 
     def test_usage_error_exits_2(self):
         assert run_cli(["estimate"]) == 2

@@ -194,6 +194,19 @@ class TestFitMixedLogistic:
         assert np.max(np.abs(fit.fixed_coefficients)) > glm.SEPARATION_COEF
         assert fit.separation_warning
 
+    def test_interior_fit_flags_separation(self):
+        # y = 1{z > 0}: the fixed-effects fit separates, and L-BFGS-B leaves
+        # the sd near its 0.5 start with a slope of several hundred
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=240)
+        X = np.column_stack([np.ones(240), z])
+        groups = np.repeat(np.arange(40), 6)
+        with pytest.warns(UserWarning, match="separation"):
+            fit = glm.fit_mixed_logistic(X, (z > 0).astype(int), groups)
+        assert fit.re_sd > 0.0
+        assert np.max(np.abs(fit.fixed_coefficients)) > glm.SEPARATION_COEF
+        assert fit.separation_warning
+
     def test_accepts_partition_object(self):
         X, y, groups = make_grouped_data(24, n_groups=10, group_size=6)
         f1 = glm.fit_mixed_logistic(X, y, groups)
@@ -287,7 +300,8 @@ class TestScores:
         X, y, groups = make_grouped_data(37, n_groups=20, group_size=7)
         beta = np.array([0.3, -0.8])
         for sd in (0.02, 0.1, 0.5, 1.5):
-            info = glm.mixed_information(X, y, groups, beta, sd)
+            _, Xs, post = glm.posterior_at(X, y, groups, beta, sd)
+            info = post.information(Xs)
             theta = np.concatenate([beta, [np.log(sd)]])
             fd = np.empty((3, 3))
             for j in range(3):
@@ -302,13 +316,17 @@ class TestScores:
     def test_mode_jacobian_matches_fd(self):
         X, y, groups = make_grouped_data(38, n_groups=10, group_size=6)
         theta = np.array([-0.2, 0.5, np.log(0.7)])
-        _, jac = glm.mixed_group_modes(X, y, groups, theta[:2], np.exp(theta[2]))
+
+        def posterior(t):
+            return glm.posterior_at(X, y, groups, t[:2], np.exp(t[2]))
+
+        _, Xs, post = posterior(theta)
+        jac = post.mode_jacobian(Xs)
         for j in range(3):
             h = 1e-6 * (1.0 + abs(theta[j]))
             up = theta.copy(); up[j] += h
             dn = theta.copy(); dn[j] -= h
-            fd = (glm.mixed_group_modes(X, y, groups, up[:2], np.exp(up[2]))[0]
-                  - glm.mixed_group_modes(X, y, groups, dn[:2], np.exp(dn[2]))[0]) / (2 * h)
+            fd = (posterior(up)[2].modes - posterior(dn)[2].modes) / (2 * h)
             np.testing.assert_allclose(jac[:, j], fd, rtol=0, atol=1e-8)
 
 

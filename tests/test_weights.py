@@ -19,32 +19,44 @@ def make_mixed_fit(beta, re_sd, n_groups=1):
         groups=Partition(np.zeros(1, dtype=np.int64), 1), quad_nodes=21)
 
 
+def pi_neighbors(s, d, alpha):
+    """P(one neighbor exposure pattern with s of d exposed) from the
+    production log form."""
+    return float(np.exp(wt.log_pi_neighbors([s], [d], alpha)[0]))
+
+
+def closed_form(s, d, alpha):
+    return alpha ** s * (1.0 - alpha) ** (d - s)
+
+
 class TestPolicyWeights:
     def test_pattern_probabilities_sum_to_one(self):
         for d in range(0, 7):
             for alpha in (0.25, 0.5, 0.75):
                 total = sum(
-                    wt.pi_neighbors(sum(pattern), d, alpha)
+                    pi_neighbors(sum(pattern), d, alpha)
                     for pattern in itertools.product((0, 1), repeat=d))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_no_binomial_coefficient(self):
         # two treated among three neighbors is one specific pattern, not
         # the count probability
-        assert wt.pi_neighbors(2, 3, 0.5) == pytest.approx(0.125)
+        assert pi_neighbors(2, 3, 0.5) == pytest.approx(0.125)
 
     def test_joint_factorizes(self):
-        # the marginal target's log numerator: own exposure plus neighbors
+        # the marginal target's log numerator: own exposure plus neighbors,
+        # against the closed form alpha^a (1-alpha)^(1-a) alpha^s (1-alpha)^(d-s)
         for a in (0, 1):
-            got = np.exp(np.log(wt.pi_own(a, 0.3)) + wt.log_pi_neighbors([2], [4], 0.3)[0])
-            assert got == pytest.approx(wt.pi_own(a, 0.3) * wt.pi_neighbors(2, 4, 0.3))
+            own = closed_form(a, 1, 0.3)
+            got = np.exp(np.log(own) + wt.log_pi_neighbors([2], [4], 0.3)[0])
+            assert got == pytest.approx(own * closed_form(2, 4, 0.3))
 
     def test_degree_zero_neighbor_weight_is_one(self):
-        assert wt.pi_neighbors(0, 0, 0.42) == 1.0
+        assert pi_neighbors(0, 0, 0.42) == 1.0
 
     def test_log_version_consistent(self):
         got = wt.log_pi_neighbors([1, 3], [4, 5], 0.7)
-        expected = [np.log(wt.pi_neighbors(1, 4, 0.7)), np.log(wt.pi_neighbors(3, 5, 0.7))]
+        expected = [np.log(closed_form(1, 4, 0.7)), np.log(closed_form(3, 5, 0.7))]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_allocation_bounds(self):
@@ -55,12 +67,6 @@ class TestPolicyWeights:
         with pytest.raises(InputError):
             wt.Allocation(-0.2)
         assert wt.Allocation(0.5).alpha == 0.5
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(InputError):
-            wt.pi_neighbors(5, 4, 0.5)
-        with pytest.raises(InputError):
-            wt.pi_own(2, 0.5)
 
 
 class TestPropensityDensity:
@@ -140,7 +146,8 @@ class TestPropensityDensity:
         A = np.array([1, 0, 1, 1, 0])
         for sd in (0.0, 0.7):
             fit = make_mixed_fit([0.2, -0.6], sd)
-            grad = wt.log_propensity_density_gradient(net, A, X, fit)
+            logf0, grad = wt.log_propensity_density_and_gradient(net, A, X, fit)
+            np.testing.assert_array_equal(logf0, wt.log_propensity_density_all(net, A, X, fit))
             theta = np.array([0.2, -0.6] + ([np.log(sd)] if sd else []))
             assert grad.shape == (5, theta.size)
             for j in range(theta.size):
@@ -205,9 +212,10 @@ class TestDiagnostics:
         Xc = np.column_stack([X, data.A.astype(float)])
         pfit = make_mixed_fit([0.2, -0.4], 0.0)
         cfit = glm.fit_logistic(Xc, data.C)
+        logf = wt.log_propensity_density_all(net, data.A, X, pfit)
+        s = wt.censoring_survival_all(Xc, cfit)
         with pytest.warns(UserWarning, match="weight"):
-            report = wt.weight_diagnostics(net, data, pfit, cfit, X, Xc,
-                                           threshold=1.0)
+            report = wt.weight_diagnostics(data, logf, s, threshold=1.0)
         # threshold 1 flags every uncensored node (weights always exceed 1)
         assert report.n_flagged == 5
         assert not report.flagged[2]
@@ -219,11 +227,10 @@ class TestDiagnostics:
         Xc = np.column_stack([X, data.A.astype(float)])
         pfit = make_mixed_fit([0.2, -0.4], 0.0)
         cfit = glm.fit_logistic(Xc, data.C)
-        with np.errstate(all="ignore"):
-            report = wt.weight_diagnostics(net, data, pfit, cfit, X, Xc,
-                                           threshold=1e9)
         logf = wt.log_propensity_density_all(net, data.A, X, pfit)
         s = wt.censoring_survival_all(Xc, cfit)
+        with np.errstate(all="ignore"):
+            report = wt.weight_diagnostics(data, logf, s, threshold=1e9)
         for i in range(6):
             if data.C[i] == 1:
                 continue
@@ -236,4 +243,5 @@ class TestDiagnostics:
         pfit = make_mixed_fit([0.2, -0.4], 0.0)
         cfit = glm.fit_logistic(Xc, data.C)
         with pytest.raises(InputError):
-            wt.weight_diagnostics(net, data, pfit, cfit, X, Xc, threshold=0.0)
+            wt.weight_diagnostics(data, wt.log_propensity_density_all(net, data.A, X, pfit),
+                                  wt.censoring_survival_all(Xc, cfit), threshold=0.0)
