@@ -104,12 +104,10 @@ def cmd_estimate(edges, nodes, alloc, censoring, keep_isolates, weight_threshold
     net = io.network_from_files(edges, ids)
     data = est.StudyData(A=A, Z=Z, C=C, Y=Y)
     if not keep_isolates:
-        keep = np.flatnonzero(net.degrees > 0)
-        dropped = net.n - keep.size
-        net, data = netgraph.remove_isolates(net, data)
-        ids = [ids[k] for k in keep]
-        if dropped:
-            click.echo(f"removed {dropped} isolated node(s)")
+        net, keep = netgraph.remove_isolates(net)
+        if keep.size < data.n:
+            click.echo(f"removed {data.n - keep.size} isolated node(s)")
+        data, ids = data.subset(keep), [ids[k] for k in keep]
 
     ones = np.ones(data.n)
     prop_design = glm.DesignMatrix(
@@ -307,19 +305,14 @@ def cmd_sweep(preset, scenario, sds, m, replicates, seed, threads, out):
 def cmd_communities(edges, nodes, out):
     """Fast-greedy modularity communities of an edge list."""
     out = _ensure_out(out)
-    if nodes is not None:
-        ids = io.read_nodes_csv(nodes)[0]
-    else:
-        ids = []
-        seen = set()
-        for u, v in io.read_edges_csv(edges):
-            for node in (u, v):
-                if node not in seen:
-                    seen.add(node)
-                    ids.append(node)
+    ids = io.read_nodes_csv(nodes)[0] if nodes is not None else None
+    pairs = io.read_edges_csv(edges)
+    if ids is None:
+        # nodes in order of first appearance
+        ids = list(dict.fromkeys(node for pair in pairs for node in pair))
         if not ids:
             raise InputError(f"{edges}: no edges found")
-    net = io.network_from_files(edges, ids)
+    net = io.network_from_files(edges, ids, pairs)
     part = netgraph.fast_greedy_communities(net)
     q = netgraph.modularity(net, part)
     io.write_csv_atomic(

@@ -129,33 +129,18 @@ def read_nodes_csv(path):
     )
 
 
-def network_from_files(edges_path, node_ids):
-    """Resolve string edge endpoints against the node table order."""
+def network_from_files(edges_path, node_ids, pairs=None):
+    """Resolve string edge endpoints against the node table order.
+
+    `pairs` are the (src, dst) rows of edges_path when the caller has
+    already read them; otherwise the file is read here.
+    """
     index = {nid: k for k, nid in enumerate(node_ids)}
-    pairs = []
-    for src, dst in read_edges_csv(edges_path):
+    edges = []
+    for src, dst in read_edges_csv(edges_path) if pairs is None else pairs:
         if src not in index:
             raise InputError(f"{edges_path}: unknown node id {src!r}")
         if dst not in index:
             raise InputError(f"{edges_path}: unknown node id {dst!r}")
-        pairs.append((index[src], index[dst]))
-    return build_network(len(node_ids), pairs)
-
-
-def read_partition_csv(path, node_ids):
-    """Community file with columns node,community aligned to node ids."""
-    fh, reader, _ = _open_csv(path, ("node", "community"))
-    index = {nid: k for k, nid in enumerate(node_ids)}
-    labels = [None] * len(node_ids)
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            node = row.get("node")
-            if node not in index:
-                raise InputError(f"{path}:{lineno}: unknown node id {node!r}")
-            labels[index[node]] = row.get("community")
-    missing = [node_ids[k] for k, lab in enumerate(labels) if lab is None]
-    if missing:
-        raise InputError(f"{path}: no community for node(s) {', '.join(missing[:5])}")
-    from .netgraph import Partition
-
-    return Partition.from_labels(labels)
+        edges.append((index[src], index[dst]))
+    return build_network(len(node_ids), edges)

@@ -7,6 +7,7 @@ order-deterministic.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,23 +157,19 @@ def build_network(n_nodes: int, edges) -> Network:
     return Network(n_nodes, indptr, indices, labels.astype(np.int64))
 
 
-def remove_isolates(net: Network, data=None):
-    """Drop degree-zero nodes, relabel, and subset aligned data if given.
+def remove_isolates(net: Network):
+    """Drop degree-zero nodes and relabel; returns (network, kept indices).
 
-    `data` only needs a .subset(indices) method (duck-typed so this module
-    does not depend on the study-data container).
+    The kept old indices, ascending, subset any node-aligned data.
     """
     keep = np.flatnonzero(net.degrees > 0)
     if keep.size == 0:
         raise EmptyNetworkError("network has no non-isolated nodes")
     if keep.size == net.n:
-        return net, data
+        return net, keep
     relabel = np.full(net.n, -1, dtype=np.int64)
     relabel[keep] = np.arange(keep.size)
-    sub = build_network(keep.size, relabel[net.edge_list()])
-    if data is not None:
-        data = data.subset(keep)
-    return sub, data
+    return build_network(keep.size, relabel[net.edge_list()]), keep
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +313,26 @@ def modularity(net: Network, partition: Partition) -> float:
 
 
 def fast_greedy_communities(net: Network) -> Partition:
-    """Greedy agglomerative modularity maximization (CNM).
+    """Greedy agglomerative modularity maximization (CNM), heap form.
 
     Starts from singletons and repeatedly merges the connected community
-    pair with the largest positive modularity gain
-        dQ = between/m_edges - deg_c*deg_d/(2*m_edges^2),
-    breaking ties on the lowest community-label pair. A community's label is
-    its smallest member node, so the whole procedure is deterministic.
-    Merges only happen across edges, hence communities refine components.
+    pair (c, d), c < d, with the largest positive modularity gain
+        dQ = between/m_edges - deg_c*deg_d/(2*m_edges^2) = k / (2*m_edges^2),
+        k = 2*m_edges*between - deg_c*deg_d  (an exact integer),
+    breaking ties on the lowest (c, d); it stops once no key k is positive.
+    A community's label is its smallest member node, so the procedure is
+    deterministic; merges only happen across edges, so communities refine
+    components. One heap holds (-k, c, d, version_c, version_d) entries
+    (Clauset, Newman & Moore 2004, Phys. Rev. E 70:066111): a merge bumps
+    both versions, which retires their stale entries lazily, and pushes
+    fresh keys for every pair of the merged community.
+
+    The merges equal those of the floating-point rule "scan all pairs in
+    ascending order and keep a later pair only if its gain beats the best by
+    more than 1e-15". Distinct gains differ by at least 1/(2*m_edges^2),
+    which for any edge count below about 1e7 exceeds 1e-15 plus the rounding
+    of gains of size at most 1, so that rule also picks the lowest pair with
+    the largest key and stops when that key is not positive.
     """
     if net.n == 0:
         raise EmptyNetworkError("cannot detect communities in an empty network")
@@ -331,43 +340,44 @@ def fast_greedy_communities(net: Network) -> Partition:
     if m_edges == 0:
         return Partition(np.arange(net.n), net.n)
 
-    deg = {i: float(d) for i, d in enumerate(net.degrees) if d > 0}
-    between: dict = {i: {} for i in deg}
-    for u, v in net.edge_list():
-        u, v = int(u), int(v)
-        between[u][v] = between[u].get(v, 0.0) + 1.0
-        between[v][u] = between[v].get(u, 0.0) + 1.0
-    members = {i: [i] for i in deg}
+    two_m = 2 * m_edges
+    deg = net.degrees.tolist()
+    between = [{} for _ in range(net.n)]
+    edges = net.edge_list().tolist()
+    for u, v in edges:
+        between[u][v] = between[v][u] = 1
+    # a key that is not positive only changes when one side merges, which
+    # pushes it again, so such keys never enter the heap
+    heap = [(nk, u, v, 0, 0) for u, v in edges if (nk := deg[u] * deg[v] - two_m) < 0]
+    heapq.heapify(heap)
+    version = [0] * net.n
+    merges = []
+    while heap:
+        _, c, d, vc, vd = heapq.heappop(heap)
+        if version[c] != vc or version[d] != vd:
+            continue
+        version[c] += 1
+        version[d] += 1
+        merges.append((c, d))
+        deg[c] += deg[d]
+        bc, bd = between[c], between[d]
+        between[d] = None
+        del bc[d]
+        for e, w in bd.items():
+            if e != c:
+                be = between[e]
+                del be[d]
+                be[c] = bc[e] = bc.get(e, 0) + w
+        dc, vc = deg[c], version[c]
+        for e, w in bc.items():
+            nk = deg[e] * dc - two_m * w
+            if nk < 0:
+                heapq.heappush(heap, (nk, c, e, vc, version[e]) if c < e
+                               else (nk, e, c, version[e], vc))
 
-    two_m2 = 2.0 * m_edges * m_edges
-    while True:
-        best = None
-        best_gain = 0.0
-        # ascending scan: on exact ties the first (lowest) pair sticks
-        for c in sorted(between):
-            for d in sorted(between[c]):
-                if d <= c:
-                    continue
-                gain = between[c][d] / m_edges - deg[c] * deg[d] / two_m2
-                if gain > best_gain + 1e-15:
-                    best = (c, d)
-                    best_gain = gain
-        if best is None or best_gain <= 0.0:
-            break
-        c, d = best
-        members[c].extend(members.pop(d))
-        deg[c] += deg.pop(d)
-        nbrs_d = between.pop(d)
-        for e, w in nbrs_d.items():
-            if e == c:
-                continue
-            between[e].pop(d)
-            between[c][e] = between[c].get(e, 0.0) + w
-            between[e][c] = between[e].get(c, 0.0) + w
-        between[c].pop(d, None)
-
-    node_label = np.arange(net.n, dtype=np.int64)
-    for root, mem in members.items():
-        node_label[mem] = min(mem)
+    # reverse merge order: a survivor's final label is set before its members'
+    node_label = list(range(net.n))
+    for c, d in reversed(merges):
+        node_label[d] = node_label[c]
     # isolates keep their own singleton label
-    return Partition.from_labels(node_label.tolist())
+    return Partition.from_labels(node_label)

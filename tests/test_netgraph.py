@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netspill import netgraph as ng
+from netspill import sim
 from netspill.errors import EmptyNetworkError, InputError
 
 
@@ -77,6 +78,109 @@ def edge_multisets(draw):
         perm = draw(st.permutations(range(n)))
         edges = [(perm[u], perm[v]) for u, v in edges]
     return n, edges, draw(st.booleans())
+
+
+def reference_fast_greedy(net):
+    """Full ascending rescan of every connected community pair on each
+    merge, with the 1e-15 float tie rule: the CNM the heap replaced, kept
+    verbatim as an oracle."""
+    if net.n == 0:
+        raise EmptyNetworkError("cannot detect communities in an empty network")
+    m_edges = net.edge_count
+    if m_edges == 0:
+        return ng.Partition(np.arange(net.n), net.n)
+
+    deg = {i: float(d) for i, d in enumerate(net.degrees) if d > 0}
+    between: dict = {i: {} for i in deg}
+    for u, v in net.edge_list():
+        u, v = int(u), int(v)
+        between[u][v] = between[u].get(v, 0.0) + 1.0
+        between[v][u] = between[v].get(u, 0.0) + 1.0
+    members = {i: [i] for i in deg}
+
+    two_m2 = 2.0 * m_edges * m_edges
+    while True:
+        best = None
+        best_gain = 0.0
+        # ascending scan: on exact ties the first (lowest) pair sticks
+        for c in sorted(between):
+            for d in sorted(between[c]):
+                if d <= c:
+                    continue
+                gain = between[c][d] / m_edges - deg[c] * deg[d] / two_m2
+                if gain > best_gain + 1e-15:
+                    best = (c, d)
+                    best_gain = gain
+        if best is None or best_gain <= 0.0:
+            break
+        c, d = best
+        members[c].extend(members.pop(d))
+        deg[c] += deg.pop(d)
+        nbrs_d = between.pop(d)
+        for e, w in nbrs_d.items():
+            if e == c:
+                continue
+            between[e].pop(d)
+            between[c][e] = between[c].get(e, 0.0) + w
+            between[e][c] = between[e].get(c, 0.0) + w
+        between[c].pop(d, None)
+
+    node_label = np.arange(net.n, dtype=np.int64)
+    for root, mem in members.items():
+        node_label[mem] = min(mem)
+    # isolates keep their own singleton label
+    return ng.Partition.from_labels(node_label.tolist())
+
+
+@st.composite
+def community_graphs(draw):
+    """(n, edges): disjoint blocks from tie-heavy families (cycles, stars,
+    complete bipartite graphs, regular components) and random multigraphs,
+    plus isolates, repeated edges in both orientations and shuffled ids."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        family = draw(st.sampled_from(
+            ("random", "cycle", "star", "bipartite", "regular")))
+        if family == "random":
+            size, block, _ = draw(edge_multisets())
+        elif family == "cycle":
+            size = draw(st.integers(3, 16))
+            block = [(i, (i + 1) % size) for i in range(size)]
+        elif family == "star":
+            size = draw(st.integers(2, 16))
+            block = [(0, i) for i in range(1, size)]
+        elif family == "bipartite":
+            a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+            size = a + b
+            block = [(i, a + j) for i in range(a) for j in range(b)]
+        else:
+            degree = draw(st.integers(2, 4))
+            net = ng.generate_regular_components(
+                draw(st.integers(1, 3)), draw(st.floats(degree + 1.5, 10.0)),
+                degree, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+            size, block = net.n, net.edge_list().tolist()
+        edges += [(u + n, v + n) for u, v in block]
+        n += size
+    n += draw(st.integers(0, 3))
+    if edges:
+        repeats = draw(st.lists(st.tuples(st.integers(0, len(edges) - 1),
+                                          st.booleans()), max_size=len(edges)))
+        edges += [edges[k][::-1] if flip else edges[k] for k, flip in repeats]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return n, edges
+
+
+def trip_giant(n_nodes, edges_per_node, rng):
+    """One component shaped like a TRIP giant: a random recursive tree plus
+    uniform extra pairs, edges_per_node edges per node in all."""
+    edges = {(int(rng.integers(0, j)), j) for j in range(1, n_nodes)}
+    target = round(edges_per_node * n_nodes)
+    while len(edges) < target:
+        u, v = sorted(rng.choice(n_nodes, size=2, replace=False).tolist())
+        edges.add((u, v))
+    return ng.build_network(n_nodes, sorted(edges))
 
 
 class TestBuildNetworkProperties:
@@ -160,16 +264,9 @@ class TestRemoveIsolates:
         assert sub.adjacency == ((1,), (0,))
 
     def test_subsets_aligned_data(self):
-        class Box:
-            def __init__(self, v):
-                self.v = np.asarray(v)
-
-            def subset(self, idx):
-                return Box(self.v[idx])
-
         net = ng.build_network(4, [(0, 2)])
-        sub, boxed = ng.remove_isolates(net, Box([10, 11, 12, 13]))
-        assert boxed.v.tolist() == [10, 12]
+        sub, keep = ng.remove_isolates(net)
+        assert np.array([10, 11, 12, 13])[keep].tolist() == [10, 12]
 
     def test_no_isolates_is_identity(self):
         net = path_network(3)
@@ -326,3 +423,47 @@ class TestFastGreedy:
         p1 = ng.fast_greedy_communities(net)
         p2 = ng.fast_greedy_communities(net)
         np.testing.assert_array_equal(p1.labels, p2.labels)
+
+
+def assert_same_communities(net):
+    new, old = ng.fast_greedy_communities(net), reference_fast_greedy(net)
+    assert new.labels.tolist() == old.labels.tolist()
+    assert net.n - new.group_count == net.n - old.group_count
+    return new
+
+
+class TestFastGreedyMatchesScan:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(community_graphs())
+    def test_matches_reference_scan(self, case):
+        n, edges = case
+        if n == 0:
+            return
+        assert_same_communities(ng.build_network(n, edges))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_on_trip_shaped(self, seed):
+        assert_same_communities(ng.generate_trip_shaped(np.random.default_rng(seed)))
+
+    def test_matches_on_trip_structure_scenario_network(self):
+        base = sim.preset_scenario("paper-trip")
+        net = sim.generate_network(base.network, np.random.default_rng(
+            np.random.SeedSequence(base.seed).spawn(1)[0]))
+        assert_same_communities(net)
+
+    def test_matches_on_trip_sized_giant(self):
+        net = trip_giant(1600, 2.14, np.random.default_rng(1))
+        assert net.m == 1
+        assert_same_communities(net)
+
+    def test_modularity_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for net in (ng.generate_trip_shaped(np.random.default_rng(3)),
+                    trip_giant(400, 2.14, np.random.default_rng(2))):
+            part = ng.fast_greedy_communities(net)
+            graph = nx.Graph()
+            graph.add_nodes_from(range(net.n))
+            graph.add_edges_from(net.edge_list().tolist())
+            q = nx.algorithms.community.modularity(
+                graph, [set(g.tolist()) for g in part.groups()])
+            assert ng.modularity(net, part) == pytest.approx(q, abs=1e-12)
