@@ -185,6 +185,8 @@ def cmd_estimate(edges, nodes, alloc, censoring, keep_isolates, weight_threshold
 
 
 def _load_scenario(preset, scenario, m, replicates, seed, censoring, truth_ecp, alloc):
+    """(Scenario, CLI-layer keys of a manifest's config: grouping, sds)."""
+    layer = {}
     if scenario is not None:
         try:
             with open(scenario) as fh:
@@ -196,16 +198,18 @@ def _load_scenario(preset, scenario, m, replicates, seed, censoring, truth_ecp, 
         if isinstance(payload, dict) and "config" in payload:
             payload = payload["config"]
         if isinstance(payload, dict):
-            # drop CLI-layer keys a manifest config may carry
-            payload = {k: v for k, v in payload.items()
-                       if k not in ("grouping", "sds")}
+            layer = {k: payload[k] for k in ("grouping", "sds") if k in payload}
+            payload = {k: v for k, v in payload.items() if k not in layer}
+            if not isinstance(layer.get("sds", []), list):
+                raise InputError("scenario file: sds must be a list")
         sc = simmod.Scenario.from_dict(payload)
     else:
         sc = simmod.preset_scenario(preset)
     allocs = _parse_floats(alloc, "allocation") if alloc is not None else None
-    return simmod.apply_overrides(sc, m=m, replicates=replicates, seed=seed,
-                                  censoring=censoring, truth_mode=truth_ecp,
-                                  allocs=allocs)
+    sc = simmod.apply_overrides(sc, m=m, replicates=replicates, seed=seed,
+                                censoring=censoring, truth_mode=truth_ecp,
+                                allocs=allocs)
+    return sc, layer
 
 
 def _write_simreport(out, report, prefix="simreport"):
@@ -230,8 +234,9 @@ def _write_simreport(out, report, prefix="simreport"):
 @click.option("--truth-ecp", type=click.Choice(["per-replicate", "fixed-average"]),
               default=None)
 @click.option("--grouping", type=click.Choice(["components", "communities"]),
-              default="components", show_default=True,
-              help="Variance grouping for the sandwich.")
+              default=None,
+              help="Variance grouping for the sandwich "
+                   "[default: the --scenario manifest's, else components].")
 @click.option("--threads", default=None, type=int,
               help="Worker processes (default: NETSPILL_THREADS or 1).")
 @click.option("--out", default=".", show_default=True)
@@ -240,18 +245,10 @@ def cmd_simulate(preset, scenario, m, replicates, seed, censoring, alloc, truth_
     """Run one simulation scenario and report bias / ESE / ASE / ECP."""
     out = _ensure_out(out)
     threads = threads if threads is not None else _default_threads()
-    sc = _load_scenario(preset, scenario, m, replicates, seed, censoring,
-                        truth_ecp, alloc)
-    part = None
-    label = "components"
-    if grouping == "communities":
-        net = simmod.generate_network(
-            sc.network,
-            np.random.default_rng(np.random.SeedSequence(sc.seed).spawn(1)[0]))
-        part = netgraph.fast_greedy_communities(net)
-        label = "fast-greedy communities"
-    report = simmod.run_replicates(sc, threads=threads, variance_partition=part,
-                                   partition_label=label)
+    sc, layer = _load_scenario(preset, scenario, m, replicates, seed, censoring,
+                               truth_ecp, alloc)
+    grouping = grouping or layer.get("grouping", "components")
+    report = simmod.run_replicates(sc, threads=threads, grouping=grouping)
     outputs = _write_simreport(out, report)
     _write_manifest(out, "simulate", {**sc.to_dict(), "grouping": grouping},
                     sc.seed, outputs, threads=threads)
@@ -262,8 +259,9 @@ def cmd_simulate(preset, scenario, m, replicates, seed, censoring, alloc, truth_
 @click.option("--preset", type=click.Choice(["paper-main", "paper-sweep", "paper-trip"]),
               default="paper-sweep", show_default=True)
 @click.option("--scenario", default=None)
-@click.option("--sds", default="0.1,0.2,0.3,0.4,0.5", show_default=True,
-              help="Censoring random-intercept sds to sweep.")
+@click.option("--sds", default=None,
+              help="Censoring random-intercept sds to sweep [default: the "
+                   "--scenario manifest's, else 0.1,0.2,0.3,0.4,0.5].")
 @click.option("--m", default=None, type=int)
 @click.option("--replicates", default=None, type=int)
 @click.option("--seed", default=None, type=int)
@@ -273,8 +271,10 @@ def cmd_sweep(preset, scenario, sds, m, replicates, seed, threads, out):
     """Sweep censoring heterogeneity, fitting each dataset both ways."""
     out = _ensure_out(out)
     threads = threads if threads is not None else _default_threads()
+    sc, layer = _load_scenario(preset, scenario, m, replicates, seed, None, None, None)
+    if sds is None:
+        sds = ",".join(str(v) for v in layer.get("sds", (0.1, 0.2, 0.3, 0.4, 0.5)))
     sd_list = _parse_floats(sds, "sd")
-    sc = _load_scenario(preset, scenario, m, replicates, seed, None, None, None)
     entries = simmod.sweep_re_sd(sc, sd_list, threads=threads)
     rows = []
     json_entries = []

@@ -13,7 +13,6 @@ S_i in the denominator corrects for on average.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -108,7 +107,7 @@ def estimand_name(arm, alpha) -> str:
 def observed_treated_counts(net, A) -> np.ndarray:
     """Number of exposed neighbors of each node."""
     A = np.asarray(A, dtype=float)
-    return np.bincount(net.owner_flat, A[net.nbr_flat], minlength=net.n)
+    return np.bincount(net.owner_flat, A[net.indices], minlength=net.n)
 
 
 def target_terms(net, data, logf, logs, allocs):
@@ -244,9 +243,6 @@ class CountPotentialOutcomes:
             raise InputError("potential-outcome lookup out of range")
         return float(self.flat[self.offsets[i] + a * (d + 1) + s])
 
-    def value(self, i, a, a_neighbors) -> float:
-        return self.value_by_count(i, a, int(np.sum(a_neighbors)))
-
     def realize(self, A, s_obs) -> np.ndarray:
         """Observed outcomes Y_i = y_i(A_i, s_obs_i), vectorized."""
         A = np.asarray(A, dtype=np.int64)
@@ -257,7 +253,6 @@ class CountPotentialOutcomes:
 @dataclass
 class TrueValues:
     values: dict         # (arm, alpha) -> average potential outcome
-    notes: list
 
     def ordered(self, allocs, order="stack") -> np.ndarray:
         keys = stack_targets(allocs) if order == "stack" else report_targets(allocs)
@@ -271,71 +266,28 @@ def _binomial_pmf_matrix(d: int, alpha: float) -> np.ndarray:
     return comb * alpha ** k * (1.0 - alpha) ** (d - k)
 
 
-def true_values(net, table, allocs, enum_cap: int = 20, mc_draws: int = 100_000,
-                rng=None) -> TrueValues:
-    """Policy-averaged potential outcomes from a full table.
+def true_values(net, table, allocs) -> TrueValues:
+    """Policy-averaged potential outcomes from a count-indexed table.
 
-    Count-indexed tables reduce the pattern sum to a binomial average and
-    are exact for any degree. Generic tables (anything with .value) are
-    enumerated over all 2^d neighbor patterns up to enum_cap, beyond which
-    a Monte-Carlo average over patterns is substituted and noted.
+    The average over a node's 2^d neighbor-exposure patterns reduces to a
+    Binomial(d, alpha) average along its row of the table, exact for any
+    degree. Nodes of equal degree d share one (k, d+1) gather per arm and,
+    per allocation, one matrix-vector product with the pmf.
     """
-    alphas = [wt.as_allocation(a).alpha for a in allocs]
-    notes = []
-    n = net.n
-    inner = {}  # (arm, alpha) -> per-node policy-averaged outcome
-    if isinstance(table, CountPotentialOutcomes):
-        if not np.array_equal(table.degrees, net.degrees):
-            raise InputError("potential-outcome table does not match network degrees")
-        uniform = np.unique(net.degrees).size == 1
-        for alpha in alphas:
-            for arm in (0, 1):
-                acc = np.empty(n)
-                if uniform:
-                    d = int(net.degrees[0])
-                    pmf = _binomial_pmf_matrix(d, alpha)
-                    acc[:] = table.flat.reshape(n, 2, d + 1)[:, arm, :] @ pmf
-                else:
-                    for d in np.unique(net.degrees):
-                        pmf = _binomial_pmf_matrix(int(d), alpha)
-                        idx = np.flatnonzero(net.degrees == d)
-                        vals = np.stack([
-                            table.flat[table.offsets[i] + arm * (d + 1):
-                                       table.offsets[i] + (arm + 1) * (d + 1)]
-                            for i in idx
-                        ])
-                        acc[idx] = vals @ pmf
-                inner[(arm, alpha)] = acc
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        for alpha in alphas:
-            for arm in (0, 1):
-                acc = np.empty(n)
-                for i in range(n):
-                    d = int(net.degrees[i])
-                    if d <= enum_cap:
-                        tot = 0.0
-                        for pattern in itertools.product((0, 1), repeat=d):
-                            s = sum(pattern)
-                            tot += table.value(i, arm, pattern) * (
-                                alpha ** s * (1.0 - alpha) ** (d - s))
-                        acc[i] = tot
-                    else:
-                        draws = rng.random((mc_draws, d)) < alpha
-                        vals = [table.value(i, arm, row) for row in draws]
-                        acc[i] = float(np.mean(vals))
-                        note = (f"node {i}: degree {d} above enumeration cap "
-                                f"{enum_cap}, Monte-Carlo average over {mc_draws} draws")
-                        notes.append(note)
-                inner[(arm, alpha)] = acc
-
+    if not np.array_equal(table.degrees, net.degrees):
+        raise InputError("potential-outcome table does not match network degrees")
+    by_degree = []  # (d, nodes of degree d, their (k, d+1) rows of the table per arm)
+    for d in np.unique(net.degrees).tolist():
+        idx = np.flatnonzero(net.degrees == d)
+        cols = table.offsets[idx, None] + np.arange(d + 1)
+        by_degree.append((d, idx, [table.flat[cols + arm * (d + 1)] for arm in (0, 1)]))
     out = {}
-    for alpha in alphas:
-        y0 = float(inner[(0, alpha)].mean())
-        y1 = float(inner[(1, alpha)].mean())
-        out[(0, alpha)] = y0
-        out[(1, alpha)] = y1
-        out[(None, alpha)] = (1.0 - alpha) * y0 + alpha * y1
-    return TrueValues(values=out, notes=notes)
-
+    for alpha in (wt.as_allocation(a).alpha for a in allocs):
+        pmfs = [_binomial_pmf_matrix(d, alpha) for d, _, _ in by_degree]
+        for arm in (0, 1):
+            acc = np.empty(net.n)
+            for (_, idx, rows), pmf in zip(by_degree, pmfs):
+                acc[idx] = rows[arm] @ pmf
+            out[(arm, alpha)] = float(acc.mean())
+        out[(None, alpha)] = (1.0 - alpha) * out[(0, alpha)] + alpha * out[(1, alpha)]
+    return TrueValues(values=out)

@@ -105,10 +105,6 @@ class Network:
         """Owning node of each directed adjacency entry in `indices`."""
         return np.repeat(np.arange(self.n), self.degrees)
 
-    @property
-    def nbr_flat(self) -> np.ndarray:
-        return self.indices
-
     @cached_property
     def adjacency(self) -> tuple:
         """Sorted neighbour tuples, one per node (a read-only view)."""

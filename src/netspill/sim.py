@@ -29,7 +29,6 @@ from . import glm
 from . import variance
 from .errors import ConvergenceError, InputError, NumericalError, PositivityError
 from .netgraph import (
-    Partition,
     fast_greedy_communities,
     generate_regular_components,
     generate_trip_shaped,
@@ -189,12 +188,6 @@ class SimReport:
                         fmt_num(r.ese), fmt_num(r.ase), fmt_num(r.ecp)))
         return out
 
-    def row(self, name: str) -> EstimandSummary:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def generate_network(spec, rng):
     if isinstance(spec, RegularNetworkSpec):
@@ -294,29 +287,32 @@ def _worker_run(task):
         return ("fail", f"replicate {r}: {type(exc).__name__}: {exc}")
 
 
-def run_replicates(sc: Scenario, threads: int = 1, variance_partition=None,
-                   partition_label: str = "components") -> SimReport:
+def run_replicates(sc: Scenario, threads: int = 1,
+                   grouping: str = "components") -> SimReport:
     """Run the full replicate loop and summarize bias / ESE / ASE / ECP.
 
-    Failed replicates (non-convergence, positivity, conditioning) are
-    skipped and recorded; more than 5% failures flags the report.
+    `grouping` picks the sandwich's variance groups: the network's
+    components, or its fast-greedy modularity communities. Failed
+    replicates (non-convergence, positivity, conditioning) are skipped and
+    recorded; more than 5% failures flags the report.
     """
     if threads < 1:
         raise InputError("threads must be at least 1")
+    if grouping not in ("components", "communities"):
+        raise InputError(f"unknown grouping {grouping!r}")
     root = np.random.SeedSequence(sc.seed)
     children = root.spawn(sc.replicates + 1)
     net = generate_network(sc.network, np.random.default_rng(children[0]))
-    if variance_partition is not None and not isinstance(variance_partition, Partition):
-        variance_partition = Partition.from_labels(list(variance_partition))
+    part = fast_greedy_communities(net) if grouping == "communities" else None
 
     tasks = [(r, children[r + 1]) for r in range(sc.replicates)]
     if threads == 1:
-        _worker_init(net, sc, variance_partition)
+        _worker_init(net, sc, part)
         results = [_worker_run(t) for t in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_worker_init,
-            initargs=(net, sc, variance_partition),
+            initargs=(net, sc, part),
         ) as ex:
             chunk = max(1, sc.replicates // (4 * threads))
             results = list(ex.map(_worker_run, tasks, chunksize=chunk))
@@ -375,10 +371,8 @@ def run_replicates(sc: Scenario, threads: int = 1, variance_partition=None,
         "seed": sc.seed,
         "n_nodes": net.n,
         "n_components": net.m,
-        "variance_grouping": partition_label if variance_partition is not None
-        else "components",
-        "variance_groups": int(variance_partition.group_count)
-        if variance_partition is not None else net.m,
+        "variance_grouping": "components" if part is None else "fast-greedy communities",
+        "variance_groups": net.m if part is None else int(part.group_count),
         "replicates_requested": sc.replicates,
         "replicates_succeeded": n_ok,
         "failures": failures,
@@ -431,15 +425,10 @@ def trip_structure_scenario(base: Scenario = None, threads: int = 1) -> TripStru
         base = preset_scenario("paper-trip")
     if not isinstance(base.network, TripNetworkSpec):
         raise InputError("structure comparison expects the trip-shaped network")
-    net = generate_network(base.network, np.random.default_rng(
-        np.random.SeedSequence(base.seed).spawn(1)[0]))
-    communities = fast_greedy_communities(net)
     by_comp = run_replicates(base, threads=threads)
-    by_comm = run_replicates(base, threads=threads,
-                             variance_partition=communities,
-                             partition_label="fast-greedy communities")
+    by_comm = run_replicates(base, threads=threads, grouping="communities")
     return TripStructureResult(by_components=by_comp, by_communities=by_comm,
-                               n_communities=communities.group_count)
+                               n_communities=by_comm.metadata["variance_groups"])
 
 
 def apply_overrides(sc: Scenario, m=None, replicates=None, seed=None,

@@ -80,10 +80,6 @@ class SandwichResult:
     k_hat: float
     stack: ThetaStack
 
-    def target_se(self, arm, alpha) -> float:
-        t = self.stack.target_index(arm, alpha)
-        return float(np.sqrt(_floor_var(self.sigma[t, t])))
-
     def target_ses(self) -> np.ndarray:
         idx = range(self.stack.target_slice.start, self.stack.target_slice.stop)
         return np.array([np.sqrt(_floor_var(self.sigma[t, t])) for t in idx])
@@ -355,46 +351,6 @@ def sandwich_from_context(ctx: _Context, dump_path=None) -> SandwichResult:
     res = SandwichResult(A=A, B=B, sigma=sigma, m=ctx.m, k_hat=ctx.k_hat, stack=ctx.stack)
     for t in range(ctx.stack.target_slice.start, ctx.stack.target_slice.stop):
         _floor_var(sigma[t, t])
-    if dump_path is not None:
-        res.dump(dump_path)
-    return res
-
-
-# ---------------------------------------------------------------------------
-# known-weights variant (no fitted models in the stack)
-
-class _KnownWeightContext:
-    def __init__(self, net, data, logf, logs, allocs, groups=None):
-        self.net = net
-        self.data = data
-        self.allocs = [wt.as_allocation(a).alpha for a in allocs]
-        self.groups = net.components if groups is None else groups
-        if not isinstance(self.groups, Partition):
-            self.groups = Partition.from_labels(list(self.groups))
-        self.m = self.groups.group_count
-        if self.m < 2:
-            raise NumericalError("sandwich variance needs at least two groups")
-        self.k_hat = net.n / self.m
-        self.node_layout = glm.GroupLayout(self.groups.labels, self.m)
-        self.keys, self.T = est.target_terms(net, data, logf, logs, self.allocs)
-        self.estimates = self.T.mean(axis=0)
-        names = tuple(est.estimand_name(*k) for k in self.keys)
-        self.stack = ThetaStack(
-            names=names, values=self.estimates.copy(),
-            gamma_slice=slice(0, 0), eta_slice=slice(0, 0),
-            target_slice=slice(0, len(self.keys)), target_keys=tuple(self.keys))
-
-
-def sandwich_known_weights(net, data, logf, logs, allocs, groups=None,
-                           dump_path=None) -> SandwichResult:
-    """Sandwich treating f and s as known: psi reduces to the target rows."""
-    ctx = _KnownWeightContext(net, data, logf, logs, allocs, groups)
-    T_g = ctx.node_layout.group_sum(ctx.node_layout.sort(ctx.T))
-    psi = T_g / ctx.k_hat - ctx.estimates[None, :]
-    B = psi.T @ psi / ctx.m
-    A = np.eye(len(ctx.keys))
-    sigma = B / ctx.m
-    res = SandwichResult(A=A, B=B, sigma=sigma, m=ctx.m, k_hat=ctx.k_hat, stack=ctx.stack)
     if dump_path is not None:
         res.dump(dump_path)
     return res

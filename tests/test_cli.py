@@ -188,6 +188,25 @@ class TestSimulate:
         b = open(os.path.join(out2, "simreport.csv"), "rb").read()
         assert a == b
 
+    def test_manifest_rerun_reproduces_bytes_communities(self, tmp_path):
+        # the manifest's grouping is a CLI-layer key; a rerun keeps it
+        # unless --grouping is given
+        out1, out2, out3 = (str(tmp_path / k) for k in "abc")
+        run_cli(["simulate", "--preset", "paper-trip", "--replicates", "3",
+                 "--grouping", "communities", "--out", out1])
+        manifest = os.path.join(out1, "manifest.json")
+        run_cli(["simulate", "--scenario", manifest, "--out", out2])
+        for name in ("simreport.csv", "simreport.json", "manifest.json"):
+            a = open(os.path.join(out1, name), "rb").read()
+            b = open(os.path.join(out2, name), "rb").read()
+            assert a == b, name
+        meta = json.load(open(os.path.join(out2, "simreport.json")))["metadata"]
+        assert meta["variance_grouping"] == "fast-greedy communities"
+        run_cli(["simulate", "--scenario", manifest, "--grouping", "components",
+                 "--out", out3])
+        meta = json.load(open(os.path.join(out3, "simreport.json")))["metadata"]
+        assert meta["variance_grouping"] == "components"
+
     def test_scenario_file_unknown_field_exits_2(self, tmp_path):
         bad = tmp_path / "sc.json"
         payload = sim.preset_scenario("paper-main", m=5, replicates=1).to_dict()
@@ -225,6 +244,17 @@ class TestSweep:
             ("0.2", "logistic"), ("0.2", "mixed"),
             ("0.4", "logistic"), ("0.4", "mixed")}
         assert len(rows) == 4 * 9
+
+    def test_manifest_rerun_reproduces_bytes(self, tmp_path):
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        run_cli(["sweep", "--sds", "0.2", "--m", "8", "--replicates", "2",
+                 "--seed", "6", "--out", out1])
+        run_cli(["sweep", "--scenario", os.path.join(out1, "manifest.json"),
+                 "--out", out2])
+        for name in ("sweep.csv", "sweep.json", "manifest.json"):
+            a = open(os.path.join(out1, name), "rb").read()
+            b = open(os.path.join(out2, name), "rb").read()
+            assert a == b, name
 
 
 class TestCommunities:

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netspill import estimator as est
+from netspill import weights as wt
 from netspill.errors import InputError, PositivityError
 from netspill.netgraph import build_network
 
@@ -118,6 +120,36 @@ class TestIpcwEstimates:
             got = est.ipcw_estimates(net, data, logf, logs, [0.5])
         assert got[(1, 0.5)] == 0.0
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_marginal_identity_on_generated_studies(self, hdata):
+        # Y(alpha) = alpha Y(1,alpha) + (1-alpha) Y(0,alpha), to rounding
+        # of the terms: 1e-12 of each column's absolute mean
+        n = hdata.draw(st.integers(2, 30), label="n")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1])
+        net = build_network(n, hdata.draw(st.lists(pairs, max_size=3 * n), label="edges"))
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        A = np.array(hdata.draw(bits, label="A"))
+        C = np.array(hdata.draw(bits, label="C"))
+        C[0] = 0
+        y = hdata.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n), label="Y")
+        Y = np.where(C == 1, np.nan, y)
+        # each log is at least -300, so log f + log s stays above the floor
+        logs_f = st.lists(st.floats(-300.0, 0.0), min_size=n, max_size=n)
+        logf = np.array(hdata.draw(logs_f, label="logf"))
+        logs = np.array(hdata.draw(logs_f, label="logs"))
+        allocs = hdata.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3,
+                                     unique=True), label="allocs")
+        data = est.StudyData(A=A, Z=np.zeros((n, 1)), C=C, Y=Y)
+        got = est.ipcw_estimates(net, data, logf, logs, allocs)
+        keys, T = est.target_terms(net, data, logf, logs, allocs)
+        scale = dict(zip(keys, np.abs(T).mean(axis=0)))
+        for alpha in (wt.as_allocation(a).alpha for a in allocs):
+            mix = alpha * got[(1, alpha)] + (1 - alpha) * got[(0, alpha)]
+            tol = 1e-12 * max(scale[(arm, alpha)] for arm in (0, 1, None))
+            assert abs(got[(None, alpha)] - mix) <= tol
+
 
 class TestTargetsAndNames:
     def test_stack_order(self):
@@ -181,11 +213,11 @@ class TestTrueValues:
         blocks = [rng.random((2, d + 1)) for d in net.degrees]
         return est.CountPotentialOutcomes.from_blocks(blocks)
 
-    def test_matches_pattern_enumeration(self):
-        net = build_network(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
-        table = self.random_table(net, 8)
-        allocs = [0.3, 0.5]
-        got = est.true_values(net, table, allocs)
+    @staticmethod
+    def enumeration_oracle(net, table, allocs):
+        """Average over every neighbor-exposure pattern, weighted by its
+        policy probability alpha^s (1-alpha)^(d-s)."""
+        out = {}
         for alpha in allocs:
             for arm in (0, 1):
                 acc = 0.0
@@ -195,44 +227,49 @@ class TestTrueValues:
                         s = sum(pattern)
                         acc += table.value_by_count(i, arm, s) * (
                             alpha**s * (1 - alpha) ** (d - s))
-                acc /= net.n
-                assert got.values[(arm, alpha)] == pytest.approx(acc, abs=1e-12)
+                out[(arm, alpha)] = acc / net.n
+        return out
+
+    def check_against_enumeration(self, net, table, allocs):
+        got = est.true_values(net, table, allocs)
+        for (arm, alpha), v in self.enumeration_oracle(net, table, allocs).items():
+            assert got.values[(arm, alpha)] == pytest.approx(v, abs=1e-12)
+        for alpha in allocs:
             mix = ((1 - alpha) * got.values[(0, alpha)]
                    + alpha * got.values[(1, alpha)])
             assert got.values[(None, alpha)] == pytest.approx(mix, abs=1e-15)
 
-    def test_uniform_degree_fast_path_agrees(self):
-        # a 4-cycle has uniform degree 2; compare against the generic
-        # pattern enumeration through a wrapper without the count shortcut
-        net = build_network(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        table = self.random_table(net, 9)
+    def test_matches_pattern_enumeration(self):
+        net = build_network(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
+        self.check_against_enumeration(net, self.random_table(net, 8), [0.3, 0.5])
+        # a 4-cycle: every node has degree 2
+        cycle = build_network(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        self.check_against_enumeration(cycle, self.random_table(cycle, 9), [0.4])
 
-        class Generic:
-            def value(self, i, a, pattern):
-                return table.value_by_count(i, a, int(np.sum(pattern)))
-
-        exact = est.true_values(net, table, [0.4])
-        generic = est.true_values(net, Generic(), [0.4])
-        for k, v in exact.values.items():
-            assert generic.values[k] == pytest.approx(v, abs=1e-12)
-        assert not exact.notes and not generic.notes
-
-    def test_mc_fallback_notes_and_approximates(self):
-        # star center has degree 25, above the enumeration cap
-        n = 26
-        net = build_network(n, [(0, j) for j in range(1, n)])
-        table = self.random_table(net, 10)
-
-        class Generic:
-            def value(self, i, a, pattern):
-                return table.value_by_count(i, a, int(np.sum(pattern)))
-
-        exact = est.true_values(net, table, [0.5])
-        approx = est.true_values(net, Generic(), [0.5], enum_cap=20,
-                                 mc_draws=40_000, rng=np.random.default_rng(4))
-        assert approx.notes
-        for k, v in exact.values.items():
-            assert approx.values[k] == pytest.approx(v, abs=5e-3)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_matches_enumeration_on_generated_graphs(self, hdata):
+        n = hdata.draw(st.integers(1, 12), label="n")
+        if hdata.draw(st.booleans(), label="cycle") and n >= 3:
+            edges = [(i, (i + 1) % n) for i in range(n)]
+        else:
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1])
+            drawn = hdata.draw(st.lists(pairs, max_size=3 * n), label="edges")
+            # keep each new edge while both ends stay at degree <= 8
+            edges, deg = set(), np.zeros(n, dtype=int)
+            for u, v in drawn:
+                key = (min(u, v), max(u, v))
+                if key not in edges and deg[u] < 8 and deg[v] < 8:
+                    edges.add(key)
+                    deg[u] += 1
+                    deg[v] += 1
+            edges = sorted(edges)
+        net = build_network(n, edges)
+        allocs = hdata.draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3,
+                                     unique=True), label="allocs")
+        table = self.random_table(net, hdata.draw(st.integers(0, 2**31), label="seed"))
+        self.check_against_enumeration(net, table, allocs)
 
     def test_degree_mismatch_rejected(self):
         net = build_network(3, [(0, 1), (1, 2)])

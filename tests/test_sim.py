@@ -186,11 +186,9 @@ class TestRunReplicates:
             assert a.bias == pytest.approx(b.bias, abs=1e-12)
             assert a.true_value == pytest.approx(b.true_value, abs=1e-12)
 
-    def test_row_lookup(self):
-        rep = sim.run_replicates(tiny_scenario(seed=80))
-        assert rep.row("Y(0.5)").name == "Y(0.5)"
-        with pytest.raises(KeyError):
-            rep.row("Y(9)")
+    def test_unknown_grouping_rejected(self):
+        with pytest.raises(InputError):
+            sim.run_replicates(tiny_scenario(), grouping="clusters")
 
     def test_mixed_censoring_arm_runs(self):
         sc = sim.apply_overrides(tiny_scenario(seed=81, replicates=2),

@@ -6,8 +6,7 @@ from scipy.special import expit
 from netspill import glm, variance as var
 from netspill import netgraph as ng
 from netspill.errors import NumericalError
-from netspill.estimator import StudyData, estimand_name
-from netspill.weights import censoring_survival_all, log_propensity_density_all
+from netspill.estimator import StudyData
 
 ALLOCS = [0.3, 0.6]
 FD_STEP = 1e-5    # central-difference step scale of the FD oracles
@@ -252,46 +251,6 @@ class TestRelabelInvariance:
         got_est, got_ses = target_estimates_and_ses(pnet, pdata, X[old], Xc[old], ALLOCS)
         np.testing.assert_allclose(got_est, estimates, rtol=self.RTOL)
         np.testing.assert_allclose(got_ses, ses, rtol=self.RTOL)
-
-
-class TestKnownWeights:
-    def test_hand_computed_two_components(self):
-        # two disjoint edges; uniform weights chosen for tractability
-        net = ng.build_network(4, [(0, 1), (2, 3)])
-        data = StudyData(A=np.array([1, 0, 1, 1]),
-                         Z=np.zeros((4, 1)),
-                         C=np.zeros(4, dtype=np.int64),
-                         Y=np.array([1.0, 0.0, 1.0, 1.0]))
-        f = np.array([0.5, 0.4, 0.25, 0.5])
-        s = np.array([0.8, 0.9, 1.0, 0.5])
-        alpha = 0.5
-        res = var.sandwich_known_weights(net, data, np.log(f), np.log(s), [alpha])
-
-        # per-node terms for the arm-1 target: Y * 1{A=1} * pi_nb / (f s)
-        w = np.array([
-            1.0 * 0.5 / (0.5 * 0.8),
-            0.0,
-            1.0 * 0.5 / (0.25 * 1.0),
-            1.0 * 0.5 / (0.5 * 0.5),
-        ])
-        yhat = w.mean()
-        t = res.stack.target_index(1, alpha)
-        assert res.stack.values[t] == pytest.approx(yhat, rel=1e-12)
-        # psi per component (k_hat = 2): sum of terms / 2 - yhat
-        psi = np.array([(w[0] + w[1]) / 2 - yhat, (w[2] + w[3]) / 2 - yhat])
-        expected_var = np.sum(psi**2) / 2 / 2  # B / m with A = I
-        assert res.target_se(1, alpha) == pytest.approx(np.sqrt(expected_var),
-                                                        rel=1e-12)
-
-    def test_matches_full_sandwich_shape(self):
-        net, data, pfit, cfit, X, Xc = make_dataset(22, m=10)
-        logf = log_propensity_density_all(net, data.A, X, pfit)
-        with np.errstate(divide="ignore"):
-            logs = np.log(censoring_survival_all(Xc, cfit))
-        res = var.sandwich_known_weights(net, data, logf, logs, ALLOCS)
-        assert res.sigma.shape == (6, 6)
-        assert res.stack.names == tuple(
-            estimand_name(*k) for k in res.stack.target_keys)
 
 
 class TestQrSolve:

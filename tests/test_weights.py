@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from netspill import glm, weights as wt
@@ -174,6 +175,57 @@ class TestPropensityDensity:
         with pytest.raises(PositivityError) as exc:
             target_terms(net, data, logf, np.zeros(n), [0.5])
         assert exc.value.node == 0
+
+
+class TestHubPositivity:
+    """Hubs of degree 50-400 beside small paths: the log densities are
+    finite, and the target terms are either finite or fail loudly at an
+    uncensored node whose denominator is below the floor."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_finite_or_positivity_error(self, hdata):
+        hub = hdata.draw(st.integers(50, 400), label="hub degree")
+        paths = hdata.draw(st.lists(st.integers(2, 5), min_size=1, max_size=5),
+                           label="path sizes")
+        edges = [(0, j) for j in range(1, hub + 1)]
+        leaf = st.integers(1, hub)
+        edges += [e for e in hdata.draw(st.lists(st.tuples(leaf, leaf), max_size=20),
+                                        label="leaf-leaf edges") if e[0] != e[1]]
+        start = hub + 1
+        for size in paths:
+            edges += [(start + k, start + k + 1) for k in range(size - 1)]
+            start += size
+        n = start
+        net = build_network(n, edges)
+        rng = np.random.default_rng(hdata.draw(st.integers(0, 2**31), label="seed"))
+        X = np.column_stack([np.ones(n), rng.integers(0, 2, n).astype(float)])
+        # scale 8 reaches linear predictors of +-48, where the hub's
+        # closed-neighborhood density underflows
+        scale = hdata.draw(st.sampled_from([1.0, 8.0]), label="scale")
+        coefs = scale * np.array(hdata.draw(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), label="coefs"))
+        re_sd = hdata.draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]), label="re_sd")
+        # exposures at random, or each against its own linear predictor
+        p_a = hdata.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, None]), label="p(A)")
+        A = (X @ coefs < 0.0) if p_a is None else (rng.random(n) < p_a)
+        A = A.astype(np.int64)
+        C = (rng.random(n) < 0.2).astype(np.int64)
+        C[0] = hdata.draw(st.booleans(), label="hub censored")
+        data = StudyData(A=A, Z=X[:, 1:], C=C,
+                         Y=np.where(C == 1, np.nan, rng.random(n)))
+        logf = wt.log_propensity_density_all(net, A, X, make_mixed_fit(coefs, re_sd),
+                                             coefficients=coefs, re_sd=re_sd)
+        assert np.all(np.isfinite(logf))
+        logs = -np.logaddexp(0.0, -2.0 + X[:, 1])       # log(1 - expit(lp))
+        try:
+            _, T = target_terms(net, data, logf, logs, [0.25, 0.75])
+        except PositivityError as exc:
+            assert C[exc.node] == 0
+            assert logf[exc.node] + logs[exc.node] <= wt.LOG_POSITIVITY_FLOOR
+        else:
+            assert np.all(np.isfinite(T))
+            assert np.all((logf + logs)[C == 0] > wt.LOG_POSITIVITY_FLOOR)
 
 
 class TestCensoringSurvival:
