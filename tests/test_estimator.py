@@ -242,7 +242,9 @@ class TestTrueValues:
     def test_matches_pattern_enumeration(self):
         net = build_network(5, [(0, 1), (0, 2), (2, 3), (3, 4), (1, 4)])
         self.check_against_enumeration(net, self.random_table(net, 8), [0.3, 0.5])
-        # a 4-cycle: every node has degree 2
+
+    def test_uniform_degree_fast_path_agrees(self):
+        # a 4-cycle: every node has degree 2, so all nodes share one pmf row
         cycle = build_network(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         self.check_against_enumeration(cycle, self.random_table(cycle, 9), [0.4])
 
